@@ -1,4 +1,4 @@
-.PHONY: build test bench check
+.PHONY: build test bench bench-legacy check
 
 build:
 	go build ./...
@@ -6,9 +6,15 @@ build:
 test:
 	go test ./...
 
-# `bench` regenerates the committed BENCH_PR8.json snapshot (QUICK=1
-# ./scripts/bench.sh for a bounded smoke run), then the testing.B suite.
+# `bench` runs the repo benchmark BENCHMARK.json declares (bench/README.md):
+# four workloads, end-to-end metrics with quartiles, then the traced pass.
 bench:
+	bash bench/run.sh
+
+# `bench-legacy` runs the pre-PR 12 snapshot harness behind the committed
+# BENCH_PR*.json files (QUICK=1 for a bounded smoke run; OUT= names the
+# file), then the testing.B suite.
+bench-legacy:
 	./scripts/bench.sh
 	go test -bench=. -benchmem ./...
 

@@ -1,19 +1,29 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime"
 	"time"
 
 	"encmpi/internal/sched"
 )
 
 // Proc is a simulated process. It implements sched.Proc against virtual
-// time: the proc's goroutine runs only while it holds the engine's execution
-// token, and every blocking operation hands the token back.
+// time: the proc's body is a coroutine that runs only while it holds the
+// engine's execution token, and every blocking operation gives the token up.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
+	eng  *Engine
+	name string
+	body func(p *Proc)
+	// resume switches from Run's caller into the body, suspend switches
+	// back, and stop makes a blocked suspend return false: the three ends of
+	// the iter.Pull coroutine that the proc's first resumption starts.
+	resume  func() (*Proc, bool)
+	suspend func(next *Proc) bool
+	stop    func()
 
 	// parked is true while the proc is blocked in Park waiting for Unpark.
 	parked bool
@@ -24,39 +34,60 @@ type Proc struct {
 }
 
 // Spawn creates a process and schedules its body to start at the current
-// virtual time. The body runs on its own goroutine but in strict alternation
-// with the engine, so simulation remains deterministic.
+// virtual time. The body runs on its own goroutine, started by that event,
+// but only while it holds the token, so simulation remains deterministic.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name, body: body}
 	e.procs = append(e.procs, p)
 	e.liveProc++
-	e.Schedule(0, func() {
-		go func() {
-			defer func() {
-				p.done = true
-				e.liveProc--
-				e.yielded <- struct{}{}
-			}()
-			<-p.resume
-			body(p)
-		}()
-		p.switchTo()
-	})
+	e.schedule(0, nil, p)
 	return p
 }
 
-// switchTo hands the execution token to p and waits for it to come back.
-// It must only be called from engine (event) context.
-func (p *Proc) switchTo() {
-	p.resume <- struct{}{}
-	<-p.eng.yielded
+// enter runs p on the token of Run's caller until p gives it back: from
+// yield, naming the proc to resume next (nil when the run is over), or, with
+// blocked false, because its body has returned.
+func (p *Proc) enter() (next *Proc, blocked bool) {
+	if p.resume == nil {
+		p.resume, p.stop = iter.Pull(p.run)
+	}
+	return p.resume()
 }
 
-// yield hands the token back to the engine and blocks until resumed.
+// run is the body of p's coroutine.
+func (p *Proc) run(suspend func(next *Proc) bool) {
+	p.suspend = suspend
+	defer func() {
+		p.done = true
+		p.eng.liveProc--
+	}()
+	p.body(p)
+}
+
+// yield gives the token up until an event resumes p. The proc runs the event
+// loop itself: if the next resumption is its own it just returns, with no
+// goroutine switch; otherwise it suspends, naming that proc to Run's caller.
 // It must only be called from p's own goroutine.
 func (p *Proc) yield() {
-	p.eng.yielded <- struct{}{}
-	<-p.resume
+	next := p.eng.drive()
+	if next == p {
+		return
+	}
+	if !p.suspend(next) {
+		runtime.Goexit() // Run is unwinding the blocked procs
+	}
+}
+
+// unwind ends a proc blocked in yield: stop makes its suspend return false
+// and it leaves through runtime.Goexit. iter.Pull passes a Goexit on to the
+// caller of stop, so a goroutine made for the purpose takes it.
+func (p *Proc) unwind() {
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		p.stop()
+	}()
+	<-exited
 }
 
 // Name returns the process name given at Spawn.
@@ -74,7 +105,7 @@ func (p *Proc) Advance(d time.Duration) {
 	if d == 0 {
 		return
 	}
-	p.eng.Schedule(d, func() { p.switchTo() })
+	p.eng.schedule(d, nil, p)
 	p.yield()
 }
 
@@ -100,7 +131,7 @@ func (p *Proc) Unpark() {
 		// Clear parked immediately so a second Unpark at the same time
 		// stores a permit instead of double-resuming.
 		p.parked = false
-		p.eng.Schedule(0, func() { p.switchTo() })
+		p.eng.schedule(0, nil, p)
 		return
 	}
 	p.permit = true

@@ -10,7 +10,8 @@
 # shm_ring comparing zero-copy slot-ring delivery vs seed inline copies).
 #
 # QUICK=1 bounds the measurement loops for CI smoke use; OUT overrides the
-# output path. `make bench` is the entry point.
+# output path. `make bench-legacy` is the entry point; the repo benchmark that
+# BENCHMARK.json declares is `bash bench/run.sh` (`make bench`).
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -98,9 +98,22 @@ go test . -run 'TestHearPlanZeroAllocs|TestHearKeystreamCounters|TestHearHostile
 echo "== hier slot-ring smoke (intra-node legs ride the PR 8 rings)"
 go test . -run 'TestHierIntraNodeSlotRings' -count=1
 
+echo "== sim-engine smoke (golden determinism, no goroutine leak, engine benchmarks)"
+# TestSimGoldenDeterminism pins a 64-rank simulated step's event count and
+# all 64 final clocks to constants recorded before the token-passing core
+# (DESIGN.md §5.1), at GOMAXPROCS 1 and 2; TestAbnormalEndLeaksNoGoroutines
+# proves a deadlocked or MaxEvents-stopped run unwinds every proc goroutine;
+# the single-shot benchmarks prove the ns/event + allocs/event harness runs.
+go test ./internal/job -run 'TestSimGoldenDeterminism' -count=1
+go test ./internal/sim -run 'TestAbnormalEndLeaksNoGoroutines|TestResumeEventsDoNotAllocate' -count=1
+go test ./internal/sim -run '^$' -bench Engine -benchtime 1x
+
+echo "== benchmark pins (bench/ is its own module; BENCHMARK.json vs the Go tables)"
+go test -C bench .
+
 echo "== bench smoke (machine-readable snapshot, quick mode)"
-# The full snapshot is regenerated by `make bench`; here we only prove the
-# harness runs end to end and emits a parseable report.
+# The full snapshot is regenerated by `make bench-legacy`; here we only prove
+# the harness runs end to end and emits a parseable report.
 QUICK=1 OUT=/tmp/encmpi_bench_smoke.json ./scripts/bench.sh
 
 echo "== wire-batching smoke (A/B ran and the engine actually coalesced)"
