@@ -426,8 +426,9 @@ func BenchmarkGhashStrategies(b *testing.B) {
 }
 
 // BenchmarkAblationPipelined quantifies chunked encrypt/transfer overlap
-// (internal/encmpi/pipeline.go) against the monolithic Encrypted_Send for a
-// 4MB message with CryptoPP-class crypto on InfiniBand.
+// (the transparent chunked rendezvous, internal/encmpi/chunked.go) against
+// the monolithic seal-whole-message Encrypted_Send for a 4MB message with
+// CryptoPP-class crypto on InfiniBand.
 func BenchmarkAblationPipelined(b *testing.B) {
 	p, err := costmodel.Lookup("cryptopp", costmodel.MVAPICH, 256)
 	if err != nil {
@@ -438,30 +439,24 @@ func BenchmarkAblationPipelined(b *testing.B) {
 		spec := PaperTestbed(2, 2)
 		var elapsed time.Duration
 		_, err := RunSim(spec, IB40G(), func(c *Comm) {
-			e := EncryptWith(c, enc.NewModelEngine(p))
+			threshold := -1 // chunking off: one frame, sealed whole
+			if pipelined {
+				threshold = 0 // the default threshold and chunk size
+			}
+			e := EncryptWith(c, enc.NewModelEngine(p), WithPipelineThreshold(threshold))
 			switch c.Rank() {
 			case 0:
 				start := c.Proc().Now()
-				if pipelined {
-					if err := e.SendPipelined(1, 0, Synthetic(size), 256<<10); err != nil {
-						panic(err)
-					}
-				} else {
-					e.Send(1, 0, Synthetic(size))
+				if err := e.Send(1, 0, Synthetic(size)); err != nil {
+					panic(err)
 				}
 				if _, _, err := e.Recv(1, 9); err != nil {
 					panic(err)
 				}
 				elapsed = c.Proc().Now() - start
 			case 1:
-				if pipelined {
-					if _, err := e.RecvPipelined(0, 0, 256<<10); err != nil {
-						panic(err)
-					}
-				} else {
-					if _, _, err := e.Recv(0, 0); err != nil {
-						panic(err)
-					}
+				if _, _, err := e.Recv(0, 0); err != nil {
+					panic(err)
 				}
 				e.Send(0, 9, Synthetic(1))
 			}

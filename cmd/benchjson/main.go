@@ -2,7 +2,7 @@
 // snapshot (committed as BENCH_PR10.json): seal/open ns/op, MB/s, and
 // allocs/op for the sequential and chunked-parallel engines across message
 // sizes, aggregate throughput of 16 concurrent 4 KiB messages through the
-// shared crypto worker pool versus the per-call goroutine baseline, an
+// parallel engine versus the serial real engine, an
 // in-process encrypted ping-pong, simulated collective latencies including
 // the segmented pipelined broadcast against plain Bcast, the multi-pair
 // TCP bandwidth suite comparing the asynchronous batched wire engine
@@ -55,11 +55,11 @@ type sealOpenEntry struct {
 }
 
 type concurrentEntry struct {
-	Size       int     `json:"size"`
-	Goroutines int     `json:"goroutines"`
-	PooledMBps float64 `json:"pooled_mb_s"`
-	SpawnMBps  float64 `json:"percall_mb_s"`
-	GainPct    float64 `json:"gain_pct"`
+	Size         int     `json:"size"`
+	Goroutines   int     `json:"goroutines"`
+	ParallelMBps float64 `json:"parallel_mb_s"`
+	RealMBps     float64 `json:"real_mb_s"`
+	GainPct      float64 `json:"gain_pct"`
 }
 
 type pingPongEntry struct {
@@ -230,10 +230,8 @@ func main() {
 	}
 
 	key := bytes.Repeat([]byte{0x42}, 32)
-	mkEngine := func(kind string, spawn bool) encmpi.Engine {
-		e, err := encmpi.NewEngine(encmpi.EngineSpec{
-			Kind: kind, Codec: "aesstd", Key: key, SpawnPerCall: spawn,
-		})
+	mkEngine := func(kind string) encmpi.Engine {
+		e, err := encmpi.NewEngine(encmpi.EngineSpec{Kind: kind, Codec: "aesstd", Key: key})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -244,19 +242,12 @@ func main() {
 	if *quick {
 		sizes = []int{4 << 10, 256 << 10}
 	}
-	engines := []struct {
-		name  string
-		kind  string
-		spawn bool
-	}{
-		{"real-aesstd", "real", false},
-		{"parallel-pooled", "parallel", false},
-		{"parallel-percall", "parallel", true},
-	}
-	for _, eng := range engines {
+	for _, eng := range []struct{ name, kind string }{
+		{"real-aesstd", "real"},
+		{"parallel-pooled", "parallel"},
+	} {
 		for _, size := range sizes {
-			e := mkEngine(eng.kind, eng.spawn)
-			rep.SealOpen = append(rep.SealOpen, measureSealOpen(eng.name, e, size, budget))
+			rep.SealOpen = append(rep.SealOpen, measureSealOpen(eng.name, mkEngine(eng.kind), size, budget))
 		}
 	}
 
@@ -338,8 +329,9 @@ func measureSealOpen(name string, e encmpi.Engine, size int, budget time.Duratio
 
 // measureConcurrent reports aggregate seal+open throughput of 16 goroutines
 // each working independent 4 KiB messages — the concurrent-small-message
-// regime the shared pool exists for — under both dispatch strategies.
-func measureConcurrent(mk func(kind string, spawn bool) encmpi.Engine, budget time.Duration) concurrentEntry {
+// regime the shared pool exists for — through the parallel engine and, as
+// the baseline, the serial real engine.
+func measureConcurrent(mk func(kind string) encmpi.Engine, budget time.Duration) concurrentEntry {
 	const size = 4 << 10
 	const conc = 16
 	payload := bytes.Repeat([]byte{0xAB}, size)
@@ -365,11 +357,11 @@ func measureConcurrent(mk func(kind string, spawn bool) encmpi.Engine, budget ti
 		})
 		return float64(size) * 8 * conc / nsPerRound * 1e3 // MB/s
 	}
-	pooled := aggregate(mk("parallel", false))
-	spawn := aggregate(mk("parallel", true))
-	entry := concurrentEntry{Size: size, Goroutines: conc, PooledMBps: pooled, SpawnMBps: spawn}
-	if spawn > 0 {
-		entry.GainPct = (pooled/spawn - 1) * 100
+	par := aggregate(mk("parallel"))
+	real := aggregate(mk("real"))
+	entry := concurrentEntry{Size: size, Goroutines: conc, ParallelMBps: par, RealMBps: real}
+	if real > 0 {
+		entry.GainPct = (par/real - 1) * 100
 	}
 	return entry
 }

@@ -38,6 +38,7 @@ import (
 	enc "encmpi/internal/encmpi"
 	"encmpi/internal/job"
 	"encmpi/internal/mpi"
+	"encmpi/internal/session"
 	"encmpi/internal/simnet"
 )
 
@@ -110,6 +111,27 @@ const (
 // engine's narrower kernel coverage.
 var ErrUnsupportedReduce = mpi.ErrUnsupportedReduce
 
+// The typed errors of the encrypted layer's error-handling contract (README
+// "Error handling contract"), for errors.Is.
+var (
+	// ErrAuth: a record failed authentication — tampered, forged, sealed
+	// under another key or session, or bound to a different communication
+	// context — and its payload was discarded.
+	ErrAuth = aead.ErrAuth
+	// ErrReplay: a session rejected a genuine record it had already admitted.
+	// It wraps ErrAuth.
+	ErrReplay = session.ErrReplay
+	// ErrStaleEpoch: a session rejected a record from an epoch retired longer
+	// ago than its grace window. It wraps ErrAuth.
+	ErrStaleEpoch = session.ErrStaleEpoch
+	// ErrMalformedWire: wire bytes were structurally invalid (too short for a
+	// nonce and tag, an inconsistent chunk framing, a hostile length header).
+	ErrMalformedWire = enc.ErrMalformedWire
+	// ErrTransport: the transport could not carry a frame, or the rendezvous
+	// protocol refused one; the message never arrived intact.
+	ErrTransport = mpi.ErrTransport
+)
+
 // Bytes wraps a real byte slice as a message payload.
 func Bytes(b []byte) Buffer { return mpi.Bytes(b) }
 
@@ -165,10 +187,10 @@ func GCMCodecNames() []string { return codecs.GCMNames() }
 // wire format at the same cost but additionally authenticates each record's
 // communication context (session, epoch, endpoints, routine, tag, sequence,
 // chunk) as AEAD additional data and supports zero-downtime rekeying;
-// Encrypt-wrapped communicators detect replays only via the heuristic
-// sequence window of ReplayGuard and cannot rekey. Encrypt remains for the
-// paper-faithful baseline and for the CCM ablation codecs, which cannot
-// carry AAD.
+// Encrypt-wrapped communicators cannot detect a replayed genuine ciphertext
+// (the paper scopes that adversary out) and cannot rekey. Encrypt remains
+// for the paper-faithful baseline and for the CCM ablation codecs, which
+// cannot carry AAD.
 func Encrypt(c *Comm, codec Codec, noncePrefix uint32, opts ...Option) *EncryptedComm {
 	return EncryptWith(c, enc.NewRealEngine(codec, aead.NewCounterNonce(noncePrefix)), opts...)
 }

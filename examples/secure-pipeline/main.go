@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -86,8 +87,8 @@ func main() {
 			e.Unwrap().Send(1, 42, encmpi.Bytes(make([]byte, 64))) // not a valid ciphertext
 		}
 		if c.Rank() == 1 {
-			if _, _, err := e.Recv(0, 42); err == nil {
-				log.Fatal("forged message was accepted!")
+			if _, _, err := e.Recv(0, 42); !errors.Is(err, encmpi.ErrAuth) {
+				log.Fatalf("forged message was not rejected as an authentication failure: %v", err)
 			}
 			fmt.Println("forged message correctly rejected by AES-GCM authentication")
 		}

@@ -15,19 +15,17 @@ import (
 // rendezvous bulk-data regime the paper's throughput analysis targets.
 const allocSize = 256 << 10
 
-func newRealForAlloc(tb testing.TB, noPool bool) *encmpi.RealEngine {
+func newRealForAlloc(tb testing.TB) *encmpi.RealEngine {
 	tb.Helper()
 	codec, err := codecs.New("aesstd", testKey)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e := encmpi.NewRealEngine(codec, aead.NewCounterNonce(0xA110C))
-	e.NoPool = noPool
-	return e
+	return encmpi.NewRealEngine(codec, aead.NewCounterNonce(0xA110C))
 }
 
-func benchSealAlloc(b *testing.B, noPool bool) {
-	e := newRealForAlloc(b, noPool)
+func BenchmarkSealAlloc(b *testing.B) {
+	e := newRealForAlloc(b)
 	plain := mpi.Bytes(bytes.Repeat([]byte{0xAB}, allocSize))
 	b.SetBytes(allocSize)
 	b.ReportAllocs()
@@ -38,11 +36,8 @@ func benchSealAlloc(b *testing.B, noPool bool) {
 	}
 }
 
-func BenchmarkSealAlloc(b *testing.B)         { benchSealAlloc(b, false) }
-func BenchmarkSealAllocUnpooled(b *testing.B) { benchSealAlloc(b, true) }
-
-func benchOpenAlloc(b *testing.B, noPool bool) {
-	e := newRealForAlloc(b, noPool)
+func BenchmarkOpenAlloc(b *testing.B) {
+	e := newRealForAlloc(b)
 	wire := e.Seal(nil, mpi.Bytes(bytes.Repeat([]byte{0xAB}, allocSize)))
 	b.SetBytes(allocSize)
 	b.ReportAllocs()
@@ -56,110 +51,75 @@ func benchOpenAlloc(b *testing.B, noPool bool) {
 	}
 }
 
-func BenchmarkOpenAlloc(b *testing.B)         { benchOpenAlloc(b, false) }
-func BenchmarkOpenAllocUnpooled(b *testing.B) { benchOpenAlloc(b, true) }
-
-// TestSealAllocRegression pins the pooled hot path's allocation win: a warm
-// pool must cut Seal and Open allocations to at most half of the unpooled
-// baseline at 256 KiB (in practice the pooled steady state is near zero).
+// TestSealAllocRegression pins the pooled hot path: on a warm pool a 256 KiB
+// Seal or Open allocates nothing.
 func TestSealAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are meaningless")
 	}
 	plain := mpi.Bytes(make([]byte, allocSize))
-	sealAllocs := func(noPool bool) float64 {
-		e := newRealForAlloc(t, noPool)
-		w := e.Seal(nil, plain) // warm the pool: steady state, not first fill
+	e := newRealForAlloc(t)
+	wire := e.Seal(nil, plain) // warm the pool: steady state, not first fill
+	if got := testing.AllocsPerRun(20, func() {
+		w := e.Seal(nil, plain)
 		w.Release()
-		return testing.AllocsPerRun(20, func() {
-			wire := e.Seal(nil, plain)
-			wire.Release()
-		})
+	}); got > 0 {
+		t.Errorf("pooled Seal: %.1f allocs/op, want 0", got)
 	}
-	pooled, unpooled := sealAllocs(false), sealAllocs(true)
-	if pooled > unpooled/2 {
-		t.Errorf("pooled Seal: %.1f allocs/op, want ≤ half of unpooled %.1f", pooled, unpooled)
-	}
-
-	openAllocs := func(noPool bool) float64 {
-		e := newRealForAlloc(t, noPool)
-		wire := e.Seal(nil, plain)
+	if got := testing.AllocsPerRun(20, func() {
 		p, err := e.Open(nil, wire)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Release()
-		return testing.AllocsPerRun(20, func() {
-			p, err := e.Open(nil, wire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Release()
-		})
-	}
-	pooled, unpooled = openAllocs(false), openAllocs(true)
-	if pooled > unpooled/2 {
-		t.Errorf("pooled Open: %.1f allocs/op, want ≤ half of unpooled %.1f", pooled, unpooled)
+	}); got > 0 {
+		t.Errorf("pooled Open: %.1f allocs/op, want 0", got)
 	}
 }
 
 // TestParallelSealAllocRegression is the same pin for the chunked engine,
-// whose Seal used to allocate the wire buffer plus a nonce slice per chunk.
-// The worker goroutines allocate on both paths, so the assertion here is
-// strictly-fewer rather than the halving the sequential engine achieves.
+// whose Seal used to allocate the wire buffer plus a nonce slice per chunk:
+// what remains is the one chunk closure.
 func TestParallelSealAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are meaningless")
 	}
 	plain := mpi.Bytes(make([]byte, allocSize))
-	run := func(noPool bool) float64 {
-		e := newParallel(t, 1, 64<<10)
-		e.NoPool = noPool
-		w := e.Seal(nil, plain)
-		w.Release()
-		return testing.AllocsPerRun(20, func() {
-			wire := e.Seal(nil, plain)
-			wire.Release()
-		})
-	}
-	pooled, unpooled := run(false), run(true)
-	if pooled >= unpooled {
-		t.Errorf("pooled parallel Seal: %.1f allocs/op, want fewer than unpooled %.1f", pooled, unpooled)
+	e := newParallel(t, 1, 64<<10)
+	w := e.Seal(nil, plain)
+	w.Release()
+	if got := testing.AllocsPerRun(20, func() {
+		wire := e.Seal(nil, plain)
+		wire.Release()
+	}); got > 1 {
+		t.Errorf("pooled parallel Seal: %.1f allocs/op, want ≤ 1", got)
 	}
 }
 
 // TestParallelDispatchAllocRegression pins the dispatch cost of runChunks on
-// a warm engine, per mode:
+// a warm engine:
 //
-//   - The pooled single-chunk path is the inline fast path: no goroutine, no
+//   - The single-chunk path is the inline fast path: no goroutine, no
 //     completion handle — nothing beyond the wire lease itself.
-//   - The legacy SpawnPerCall path's semaphore is hoisted to engine lifetime
-//     (semOnce); the pre-fix code allocated make(chan struct{}, Workers) on
-//     every call, which would push the multi-chunk count to 7+ and fail the
-//     strict <7 bound here.
-//   - The pooled multi-chunk path pays only the per-chunk Batch.Go closures.
+//   - The multi-chunk path pays only the per-chunk Batch.Go closures.
 func TestParallelDispatchAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
 	}
-	seal := func(spawn bool, size int) float64 {
+	seal := func(size int) float64 {
 		e := newParallel(t, 4, 64<<10)
-		e.SpawnPerCall = spawn
 		plain := mpi.Bytes(make([]byte, size))
-		w := e.Seal(nil, plain) // warm: pool filled, semOnce fired
+		w := e.Seal(nil, plain) // warm the pool
 		w.Release()
 		return testing.AllocsPerRun(30, func() {
 			wire := e.Seal(nil, plain)
 			wire.Release()
 		})
 	}
-	if got := seal(false, 4<<10); got > 1.5 {
-		t.Errorf("pooled single-chunk Seal: %.1f allocs/op, want ≤ 1.5 (inline fast path)", got)
+	if got := seal(4 << 10); got > 1.5 {
+		t.Errorf("single-chunk Seal: %.1f allocs/op, want ≤ 1.5 (inline fast path)", got)
 	}
-	if got := seal(true, allocSize); got >= 7 {
-		t.Errorf("spawn-per-call 4-chunk Seal: %.1f allocs/op, want < 7 (semaphore must be hoisted, not per-call)", got)
-	}
-	if got := seal(false, allocSize); got >= 12 {
-		t.Errorf("pooled 4-chunk Seal: %.1f allocs/op, want < 12 (Batch dispatch only)", got)
+	if got := seal(allocSize); got >= 12 {
+		t.Errorf("4-chunk Seal: %.1f allocs/op, want < 12 (Batch dispatch only)", got)
 	}
 }

@@ -5,30 +5,48 @@ import (
 	"encmpi/internal/session"
 )
 
-// BcastPipelined is the segmented broadcast: the overlap design of
-// SendPipelined lifted onto the binomial tree. A plain encrypted Bcast
-// seals the whole message, then every tree hop serializes crypto and wire
-// time; here the root seals the message chunk by chunk (each chunk an
-// independent AEAD message, as in SendPipelined) and streams the sealed
-// chunks down the tree, so chunk k+1's encryption and injection overlap
-// chunk k's descent. Interior ranks forward each ciphertext chunk to their
-// children *before* decrypting it, so a chunk's decryption overlaps the
-// next chunk's wire time and the paper's one-seal, p−1-opens accounting is
-// preserved — ciphertext travels the tree unmodified, exactly like Bcast.
+// Pipelined broadcast: the paper's discussion (§V-C) observes that
+// single-thread encryption cannot keep up with fast links and suggests
+// parallelizing. A complementary technique — the one later encrypted-MPI
+// systems adopted — is to split a large message into chunks, each sealed
+// under its own nonce, so that the encryption of chunk k+1 overlaps the
+// wire transfer of chunk k. Point-to-point traffic gets that overlap
+// transparently from the chunked rendezvous (chunked.go, DESIGN.md §12);
+// this file lifts it onto the broadcast tree, with an explicit tag-visible
+// framing: a 16-byte announcement header, then the chunks.
+
+// DefaultChunk is the pipelined broadcast's chunk size. 256 KB balances
+// per-chunk overhead (28 bytes + a nonce generation each) against overlap
+// depth.
+const DefaultChunk = 256 << 10
+
+// pipelineTagStride separates chunk tags within one logical message.
+const pipelineTagStride = 1 << 20
+
+// BcastPipelined is the segmented broadcast. A plain encrypted Bcast seals
+// the whole message, then every tree hop serializes crypto and wire time;
+// here the root seals the message chunk by chunk (each chunk an independent
+// AEAD message) and streams the sealed chunks down the binomial tree, so
+// chunk k+1's encryption and injection overlap chunk k's descent. Interior
+// ranks forward each ciphertext chunk to their children *before* decrypting
+// it, so a chunk's decryption overlaps the next chunk's wire time and the
+// paper's one-seal, p−1-opens accounting is preserved — ciphertext travels
+// the tree unmodified, exactly like Bcast.
 //
-// The chunk tag space is SendPipelined's: the 16-byte announcement header
-// travels at tag, chunk k at tag+pipelineTagStride·(k+1). All ranks must
-// pass the same root and tag; the chunk size is the root's — it rides the
-// header, and every relay cuts the stream where the root did, so a rank
-// passing a different chunk cannot corrupt the broadcast. Non-root ranks
-// may pass the zero Buffer; the root's return value is its own buf.
+// The 16-byte announcement header travels at tag, chunk k at
+// tag+pipelineTagStride·(k+1), so the plain tag space below
+// pipelineTagStride remains available to the caller. All ranks must pass the
+// same root and tag; the chunk size is the root's — it rides the header, and
+// every relay cuts the stream where the root did, so a rank passing a
+// different chunk cannot corrupt the broadcast. Non-root ranks may pass the
+// zero Buffer; the root's return value is its own buf.
 //
 // Error handling follows the hostile-bytes contract: a chunk that fails
 // authentication is still forwarded (it was forwarded before it was
 // opened), the remaining chunks keep flowing so descendants never block on
 // this rank, and the error is returned once the stream has drained. A
-// header that fails to open poisons this rank's subtree — like an aborted
-// SendPipelined exchange, later chunks then land in the unexpected queue.
+// header that fails to open poisons this rank's subtree: later chunks then
+// land in the unexpected queue.
 func (e *Comm) BcastPipelined(root, tag int, buf mpi.Buffer, chunk int) (mpi.Buffer, error) {
 	if chunk <= 0 {
 		chunk = DefaultChunk
@@ -55,11 +73,8 @@ func (e *Comm) BcastPipelined(root, tag int, buf mpi.Buffer, chunk int) (mpi.Buf
 // caller's tag. The 16-byte announcement header is chunk 0 of 0 — a position
 // no payload chunk can occupy, since payload streams always announce at
 // least one chunk — and payload chunk k is position k of the stream's total.
-func (e *Comm) bcastPipeCtx(root, tag, k, chunks int) *session.RecordCtx {
-	if e.ceng == nil {
-		return nil
-	}
-	return &session.RecordCtx{
+func (e *Comm) bcastPipeCtx(root, tag, k, chunks int) session.RecordCtx {
+	return session.RecordCtx{
 		Op: session.OpBcast, Src: root, Dst: session.Wildcard,
 		Tag: tag, Chunk: k, Chunks: chunks,
 	}
@@ -213,4 +228,53 @@ func (e *Comm) bcastPipeRelay(root, tag, chunk, parent int, children []int) (mpi
 		return mpi.Synthetic(total), nil
 	}
 	return mpi.Bytes(out), nil
+}
+
+// pipelineHeaderLen is the fixed size of the little-endian announcement
+// header: total(8) ‖ chunk(8).
+const pipelineHeaderLen = 16
+
+// maxPipelineTotal caps the length a header may announce (1 TiB). Without a
+// cap, eight hostile header bytes could demand a petabyte-sized receive
+// loop; with it, an absurd length is rejected as malformed before any
+// allocation happens.
+const maxPipelineTotal = 1 << 40
+
+// maxPipelineChunks caps how many chunk receives a header may demand: an
+// in-cap total split by a tiny chunk size would otherwise post a billion
+// requests before a single payload byte arrives.
+const maxPipelineChunks = 1 << 20
+
+func encodePipeHeader(total, chunk int) []byte {
+	out := make([]byte, pipelineHeaderLen)
+	for i := 0; i < 8; i++ {
+		out[i] = byte(uint64(total) >> (8 * i))
+		out[8+i] = byte(uint64(chunk) >> (8 * i))
+	}
+	return out
+}
+
+// decodePipeHeader validates and decodes a pipeline announcement header.
+// Short, long, negative, and absurdly large totals are malformed, as is any
+// chunk size that is zero, negative, or demands an absurd number of chunks
+// — never indexed blindly, never trusted into an allocation.
+func decodePipeHeader(b []byte) (total, chunk int, err error) {
+	if len(b) != pipelineHeaderLen {
+		return 0, 0, malformedf("pipelined length header is %d bytes, want %d", len(b), pipelineHeaderLen)
+	}
+	var ut, uc uint64
+	for i := 0; i < 8; i++ {
+		ut |= uint64(b[i]) << (8 * i)
+		uc |= uint64(b[8+i]) << (8 * i)
+	}
+	if ut > maxPipelineTotal {
+		return 0, 0, malformedf("pipelined length %d exceeds the %d-byte cap", ut, uint64(maxPipelineTotal))
+	}
+	if uc == 0 || uc > maxPipelineTotal {
+		return 0, 0, malformedf("pipelined chunk size %d is not a usable chunk", uc)
+	}
+	if (ut+uc-1)/uc > maxPipelineChunks {
+		return 0, 0, malformedf("pipelined header demands %d chunks, cap is %d", (ut+uc-1)/uc, maxPipelineChunks)
+	}
+	return int(ut), int(uc), nil
 }

@@ -14,6 +14,7 @@ import (
 	"encmpi/internal/job"
 	"encmpi/internal/mpi"
 	"encmpi/internal/sched"
+	"encmpi/internal/session"
 	"encmpi/internal/simnet"
 )
 
@@ -145,11 +146,11 @@ type failLargeOpen struct {
 	encmpi.Engine
 }
 
-func (f failLargeOpen) Open(p sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) {
+func (f failLargeOpen) OpenTo(p sched.Proc, dst []byte, wire mpi.Buffer, ctx session.RecordCtx) (mpi.Buffer, error) {
 	if wire.Len() > 64 {
 		return mpi.Buffer{}, fmt.Errorf("injected chunk auth failure")
 	}
-	return f.Engine.Open(p, wire)
+	return f.Engine.OpenTo(p, dst, wire, ctx)
 }
 
 // TestBcastPipelinedAuthFailureStillRelays pins the hostile-bytes contract:

@@ -3,7 +3,6 @@ package encmpi
 import (
 	"encmpi/internal/bufpool"
 	"encmpi/internal/mpi"
-	"encmpi/internal/sched"
 )
 
 // Transparent crypto–comm overlap (DESIGN.md §12): above a size threshold,
@@ -53,28 +52,12 @@ func (e *Comm) chunkPlan(n int) (chunkLen, count int, ok bool) {
 	if e.pipeThreshold <= 0 || n < e.pipeThreshold {
 		return 0, 0, false
 	}
-	chunkLen = e.pipeChunk
-	if chunkLen <= 0 {
-		chunkLen = DefaultPipelineChunk
-	}
+	chunkLen = e.pipeChunk // always positive: Wrap's default, or WithPipeline's
 	count = (n + chunkLen - 1) / chunkLen
 	if count < 2 {
 		return 0, 0, false
 	}
 	return chunkLen, count, true
-}
-
-// wireLenner is implemented by engines whose wire expansion is not a flat
-// Overhead() per message (ParallelEngine chunks internally, so its
-// expansion depends on the plaintext length).
-type wireLenner interface{ WireLen(n int) int }
-
-// wireLenOf predicts the sealed size of an n-byte plaintext.
-func (e *Comm) wireLenOf(n int) int {
-	if wl, ok := e.eng.(wireLenner); ok {
-		return wl.WireLen(n)
-	}
-	return n + e.eng.Overhead()
 }
 
 // isendChunked starts the chunked overlap send: the RTS announces the exact
@@ -91,7 +74,7 @@ func (e *Comm) isendChunked(dst, tag int, buf mpi.Buffer, chunkLen, count int) *
 		if hi > n {
 			hi = n
 		}
-		wireTotal += e.wireLenOf(hi - lo)
+		wireTotal += e.eng.WireLen(hi - lo)
 	}
 	// Hold the payload's pool lease (if any) until the last chunk is sealed.
 	buf.Retain()
@@ -104,110 +87,64 @@ func (e *Comm) isendChunked(dst, tag int, buf mpi.Buffer, chunkLen, count int) *
 		// the point-to-point coordinates, so segments cannot be reordered or
 		// transplanted between transfers of the same shape.
 		ctx := e.p2pSendCtx(dst, tag)
-		if ctx != nil {
-			ctx.Chunk, ctx.Chunks = k, count
-		}
+		ctx.Chunk, ctx.Chunks = k, count
 		return e.seal(buf.Slice(lo, hi), ctx), nil
 	})
 	inner.SetOnComplete(func(*mpi.Request) { buf.Release() })
 	return &Request{inner: inner}
 }
 
-// openerInto is implemented by engines that can decrypt straight into
-// caller-owned storage (RealEngine); the chunked sink uses it to land each
-// chunk's plaintext in the assembly with no intermediate buffer — the
-// receive then does exactly the byte work of the single-frame path, plus
-// per-frame protocol cost.
-type openerInto interface {
-	OpenInto(proc sched.Proc, dst []byte, wire mpi.Buffer) (int, error)
-}
-
 // chunkOpenSink builds the per-chunk consumer a receive installs before it
 // is posted: each arriving wire chunk is opened inside Wait — overlapping
-// the wire time of the chunks still inbound — and its plaintext landed in
-// one pooled assembly buffer (directly, when the engine supports OpenInto;
-// via a scratch open and copy otherwise). The rendezvous protocol guarantees
-// in-order, exactly-once calls and has already bounded the wire bytes by the
-// RTS announcement, so the sink's own bounds checks are defense in depth.
-// Any authentication failure fails the receive at that chunk; the sink
-// releases its partial assembly before reporting it.
+// the wire time of the chunks still inbound — and its plaintext landed
+// directly in one pooled assembly buffer, so the receive does exactly the
+// byte work of the single-frame path plus per-frame protocol cost. Modeled
+// runs move sizes and time, not bytes: a synthetic chunk is opened for its
+// length alone. The rendezvous protocol guarantees in-order, exactly-once
+// calls and has already bounded the wire bytes by the RTS announcement, so
+// the sink's own bounds checks are defense in depth. Any authentication
+// failure fails the receive at that chunk; the sink releases its partial
+// assembly before reporting it.
 func (e *Comm) chunkOpenSink() mpi.ChunkSink {
 	var asm *bufpool.Lease
 	var off int
 	synthetic := false
-	oi, direct := e.eng.(openerInto)
 	return func(k, count, wireTotal, src, tag int, chunk mpi.Buffer) (mpi.Buffer, error) {
 		// Derive the context this segment must have been sealed under: the
 		// exchange coordinates from the RTS (src arrives in world numbering)
 		// plus the segment's position in the stream.
 		ctx := e.p2pRecvCtx(src, tag)
-		if ctx != nil {
-			ctx.Chunk, ctx.Chunks = k, count
-		}
+		ctx.Chunk, ctx.Chunks = k, count
 		fail := func(err error) (mpi.Buffer, error) {
 			asm.Release()
 			asm = nil
 			return mpi.Buffer{}, err
 		}
-		if direct && !chunk.IsSynthetic() {
-			if synthetic {
-				return fail(malformedf("real chunk %d of %d after synthetic chunks", k, count))
-			}
-			if asm == nil {
-				// wireTotal bounds the plaintext total: Open never expands,
-				// and the [off:wireTotal] window below enforces it per chunk.
-				asm = bufpool.Get(wireTotal)
-			}
-			n, err := e.openInto(oi, asm.Bytes()[off:wireTotal], chunk, ctx)
+		// A stream that switches representation mid-message is malformed.
+		if chunk.IsSynthetic() != synthetic && k > 0 {
+			return fail(malformedf("chunk %d of %d switches between real and synthetic bytes", k, count))
+		}
+		if chunk.IsSynthetic() {
+			synthetic = true
+			plain, err := e.open(chunk, ctx)
 			if err != nil {
 				return fail(err)
 			}
-			off += n
+			off += plain.Len()
 			if k == count-1 {
-				out := mpi.BytesWithLease(asm.Bytes()[:off], asm)
-				asm = nil
-				return out, nil
+				return mpi.Synthetic(off), nil
 			}
 			return mpi.Buffer{}, nil
 		}
-		plain, err := e.open(chunk, ctx)
+		if asm == nil {
+			// wireTotal bounds the plaintext total: Open never expands, and
+			// the [off:wireTotal] window below enforces it per chunk.
+			asm = bufpool.Get(wireTotal)
+		}
+		plain, err := e.openTo(asm.Bytes()[off:wireTotal], chunk, ctx)
 		if err != nil {
 			return fail(err)
 		}
-		if plain.IsSynthetic() {
-			// Modeled runs: sizes and time move, bytes do not. A stream that
-			// switches representation mid-message is malformed.
-			if asm != nil {
-				return fail(malformedf("synthetic chunk %d of %d after real chunks", k, count))
-			}
-			synthetic = true
-			off += plain.Len()
-			if k == count-1 {
-				n := off
-				off = 0
-				return mpi.Synthetic(n), nil
-			}
-			return mpi.Buffer{}, nil
-		}
-		release := func() {
-			if !plain.SharesStorage(chunk) {
-				plain.Release()
-			}
-		}
-		if synthetic {
-			release()
-			return fail(malformedf("real chunk %d of %d after synthetic chunks", k, count))
-		}
-		if asm == nil {
-			// wireTotal bounds the plaintext total: Open never expands.
-			asm = bufpool.Get(wireTotal)
-		}
-		if off+plain.Len() > wireTotal {
-			release()
-			return fail(malformedf("chunk %d of %d overruns the %d-byte announcement", k, count, wireTotal))
-		}
-		copy(asm.Bytes()[off:], plain.Data)
-		release()
 		off += plain.Len()
 		if k == count-1 {
 			out := mpi.BytesWithLease(asm.Bytes()[:off], asm)

@@ -11,6 +11,7 @@ import (
 	"encmpi/internal/job"
 	"encmpi/internal/mpi"
 	"encmpi/internal/sched"
+	"encmpi/internal/session"
 )
 
 // patterned builds an n-byte payload with position-dependent contents so any
@@ -23,34 +24,30 @@ func patterned(n int) []byte {
 	return out
 }
 
-// TestPipelinedChunkMismatchNegotiated is the regression test for the
+// TestBcastPipelinedChunkMismatchNegotiated is the regression test for the
 // chunk-size negotiation fix: the two sides pass different chunk arguments,
-// and the transfer must still be byte-exact because the receiver cuts the
-// stream where the sender's announced chunk size says, not where its own
+// and the broadcast must still be byte-exact because the relay cuts the
+// stream where the root's announced chunk size says, not where its own
 // argument would.
-func TestPipelinedChunkMismatchNegotiated(t *testing.T) {
+func TestBcastPipelinedChunkMismatchNegotiated(t *testing.T) {
 	payload := patterned(10_000)
-	for _, tc := range []struct{ sendChunk, recvChunk int }{
+	for _, tc := range []struct{ rootChunk, relayChunk int }{
 		{3000, 1000},
 		{1000, 3000},
-		{4096, 0}, // receiver passes "default", sender does not
+		{4096, 0}, // relay passes "default", root does not
 	} {
 		runEncrypted(t, 2, "aesstd", func(e *encmpi.Comm) {
-			switch e.Rank() {
-			case 0:
-				if err := e.SendPipelined(1, 2, mpi.Bytes(payload), tc.sendChunk); err != nil {
-					t.Errorf("send/%d: %v", tc.sendChunk, err)
-				}
-			case 1:
-				got, err := e.RecvPipelined(0, 2, tc.recvChunk)
-				if err != nil {
-					t.Errorf("recv chunk %d vs sender %d: %v", tc.recvChunk, tc.sendChunk, err)
-					return
-				}
-				if !bytes.Equal(got.Data, payload) {
-					t.Errorf("chunk %d vs %d: payload corrupted", tc.sendChunk, tc.recvChunk)
-				}
-				got.Release()
+			buf, chunk := mpi.Buffer{}, tc.relayChunk
+			if e.Rank() == 0 {
+				buf, chunk = mpi.Bytes(payload), tc.rootChunk
+			}
+			got, err := e.BcastPipelined(0, 2, buf, chunk)
+			if err != nil {
+				t.Errorf("rank %d, relay chunk %d vs root %d: %v", e.Rank(), tc.relayChunk, tc.rootChunk, err)
+				return
+			}
+			if !bytes.Equal(got.Data, payload) {
+				t.Errorf("chunk %d vs %d: payload corrupted", tc.rootChunk, tc.relayChunk)
 			}
 		})
 	}
@@ -67,10 +64,12 @@ func pipeHeader(total, chunk uint64) []byte {
 	return out
 }
 
-// TestPipelinedHostileHeaderRejected: a header announcing a zero chunk size,
-// or a chunk size demanding an absurd number of chunk receives, must be
-// rejected as malformed wire before any chunk receive is posted.
-func TestPipelinedHostileHeaderRejected(t *testing.T) {
+// TestBcastPipelinedHostileHeaderRejected: a header announcing a zero chunk
+// size, or a chunk size demanding an absurd number of chunk receives, must
+// be rejected as malformed wire before any chunk receive is posted. Rank 0
+// plays the hostile root by hand: an ordinary encrypted Send at the
+// broadcast's tag is exactly the sealed header frame a relay expects.
+func TestBcastPipelinedHostileHeaderRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		total, chunk uint64
@@ -88,7 +87,7 @@ func TestPipelinedHostileHeaderRejected(t *testing.T) {
 						t.Error(err)
 					}
 				case 1:
-					_, err := e.RecvPipelined(0, 3, 0)
+					_, err := e.BcastPipelined(0, 3, mpi.Buffer{}, 0)
 					if !errors.Is(err, encmpi.ErrMalformedWire) {
 						t.Errorf("hostile header error = %v, want ErrMalformedWire", err)
 					}
@@ -98,11 +97,11 @@ func TestPipelinedHostileHeaderRejected(t *testing.T) {
 	}
 }
 
-// TestPipelinedOvershootMalformed is the regression test for the overshoot
-// fix: a sender pushing more chunk bytes than its header announced must fail
-// the receive with a malformed-wire error the moment the excess arrives —
-// not assemble out of bounds, not truncate silently.
-func TestPipelinedOvershootMalformed(t *testing.T) {
+// TestBcastPipelinedOvershootMalformed is the regression test for the
+// overshoot fix: a root pushing more chunk bytes than its header announced
+// must fail the relay with a malformed-wire error — not assemble out of
+// bounds, not truncate silently.
+func TestBcastPipelinedOvershootMalformed(t *testing.T) {
 	runEncrypted(t, 2, "aesstd", func(e *encmpi.Comm) {
 		const stride = 1 << 20 // pipelineTagStride: chunk k rides tag+stride*(k+1)
 		switch e.Rank() {
@@ -118,7 +117,7 @@ func TestPipelinedOvershootMalformed(t *testing.T) {
 				}
 			}
 		case 1:
-			_, err := e.RecvPipelined(0, 4, 0)
+			_, err := e.BcastPipelined(0, 4, mpi.Buffer{}, 0)
 			if !errors.Is(err, encmpi.ErrMalformedWire) {
 				t.Errorf("overshoot error = %v, want ErrMalformedWire", err)
 			}
@@ -251,7 +250,7 @@ func TestTransparentChunkedDisabled(t *testing.T) {
 	payload := patterned(n)
 	seals := make([]int, 2)
 	err := job.RunShm(2, func(c *mpi.Comm) {
-		eng := &countingEngine{inner: realEngine(t, "aesstd", c.Rank())}
+		eng := &countingEngine{Engine: realEngine(t, "aesstd", c.Rank())}
 		e := encmpi.Wrap(c, eng, encmpi.WithPipeline(-1, 0))
 		switch c.Rank() {
 		case 0:
@@ -280,21 +279,21 @@ func TestTransparentChunkedDisabled(t *testing.T) {
 	}
 }
 
-// countingEngine wraps an engine and counts seal/open calls (single-rank
-// use: each rank owns its own instance, so no synchronization needed).
+// countingEngine wraps an engine and counts the seal/open calls the
+// communicator makes (single-rank use: each rank owns its own instance, so
+// no synchronization needed).
 type countingEngine struct {
-	inner encmpi.Engine
+	encmpi.Engine
 	seals int
 	opens int
 }
 
-func (g *countingEngine) Name() string  { return g.inner.Name() }
-func (g *countingEngine) Overhead() int { return g.inner.Overhead() }
-func (g *countingEngine) Seal(p sched.Proc, plain mpi.Buffer) mpi.Buffer {
+func (g *countingEngine) SealTo(p sched.Proc, dst []byte, plain mpi.Buffer, ctx session.RecordCtx) (mpi.Buffer, bool) {
 	g.seals++
-	return g.inner.Seal(p, plain)
+	return g.Engine.SealTo(p, dst, plain, ctx)
 }
-func (g *countingEngine) Open(p sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) {
+
+func (g *countingEngine) OpenTo(p sched.Proc, dst []byte, wire mpi.Buffer, ctx session.RecordCtx) (mpi.Buffer, error) {
 	g.opens++
-	return g.inner.Open(p, wire)
+	return g.Engine.OpenTo(p, dst, wire, ctx)
 }

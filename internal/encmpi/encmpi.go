@@ -6,7 +6,6 @@ import (
 	"encmpi/internal/hear"
 	"encmpi/internal/mpi"
 	"encmpi/internal/obs"
-	"encmpi/internal/sched"
 	"encmpi/internal/session"
 )
 
@@ -17,11 +16,6 @@ import (
 type Comm struct {
 	c   *mpi.Comm
 	eng Engine
-	// ceng is eng's context-binding view when the engine authenticates
-	// communication context as AAD (the session engine); nil for classic
-	// engines, in which case every RecordCtx below stays nil and the old
-	// call shapes run unchanged.
-	ceng ContextEngine
 	// metrics receives crypto accounting; nil (inert) when unobserved.
 	metrics *obs.Rank
 
@@ -40,6 +34,12 @@ type Comm struct {
 	hearParams *hear.Params
 	hearSt     *hear.State
 	sealedSeq  int
+
+	// slotDeclined latches the first time the engine declines a seal into a
+	// ring slot it was offered: the communicator only offers slots that fit
+	// real bytes, so a decline means this engine never seals in place (null,
+	// model, a padding codec) and acquiring further slots would be waste.
+	slotDeclined bool
 }
 
 // WrapOption configures Wrap.
@@ -68,78 +68,76 @@ func Wrap(c *mpi.Comm, eng Engine, opts ...WrapOption) *Comm {
 		// reduction call sites instead of sealing them.
 		p := he.Params
 		e.hearParams = &p
-		e.eng = he.Inner
+		e.eng = he.Engine
 	}
-	e.ceng, _ = e.eng.(ContextEngine)
 	for _, opt := range opts {
 		opt(e)
 	}
 	return e
 }
 
-// seal runs the engine's Seal with timing and byte accounting. The clock is
+// seal runs the engine's seal with timing and byte accounting. The clock is
 // the proc clock, so under the model engine the recorded nanoseconds are the
 // virtual cipher cost and under real engines they are wall time. ctx is the
-// record's communication binding, authenticated as AAD by context engines
-// and ignored (always nil, in fact) for classic ones.
-func (e *Comm) seal(buf mpi.Buffer, ctx *session.RecordCtx) mpi.Buffer {
-	proc := e.c.Proc()
-	run := func() mpi.Buffer {
-		if e.ceng != nil {
-			return e.ceng.SealCtx(proc, buf, ctx)
-		}
-		return e.eng.Seal(proc, buf)
-	}
-	if e.metrics == nil {
-		return run()
-	}
-	start := int64(proc.Now())
-	wire := run()
-	e.metrics.Seal(buf.Len(), wire.Len(), int64(proc.Now())-start)
-	e.classifySealLocality(ctx)
+// record's communication binding, authenticated as AAD by the session engine
+// and ignored by the others.
+func (e *Comm) seal(buf mpi.Buffer, ctx session.RecordCtx) mpi.Buffer {
+	wire, _ := e.sealTo(nil, buf, ctx)
 	return wire
 }
 
-// classifySealLocality charges the seal just recorded to exactly one of the
-// intra-/inter-node counters (DESIGN.md §15): by destination node when the
-// record binds a concrete destination, by whether the communicator spans
-// nodes for fan-out (Wildcard) and context-free records. The split is what
-// makes the hierarchical collectives' O(nodes) inter-node claim checkable
-// from metrics.
-func (e *Comm) classifySealLocality(ctx *session.RecordCtx) {
-	if e.sealCrossesNode(ctx) {
-		e.metrics.SealInterNode()
-	} else {
-		e.metrics.SealIntraNode()
+// sealTo is seal with the contract's optional destination; a declined
+// in-place seal accounts nothing.
+func (e *Comm) sealTo(dst []byte, buf mpi.Buffer, ctx session.RecordCtx) (mpi.Buffer, bool) {
+	proc := e.c.Proc()
+	if e.metrics == nil {
+		return e.eng.SealTo(proc, dst, buf, ctx)
 	}
+	start := int64(proc.Now())
+	wire, ok := e.eng.SealTo(proc, dst, buf, ctx)
+	if ok {
+		e.metrics.Seal(buf.Len(), wire.Len(), int64(proc.Now())-start)
+		// Charge the seal to exactly one of the intra-/inter-node counters
+		// (DESIGN.md §15) — the split is what makes the hierarchical
+		// collectives' O(nodes) inter-node claim checkable from metrics.
+		if e.sealCrossesNode(ctx) {
+			e.metrics.SealInterNode()
+		} else {
+			e.metrics.SealIntraNode()
+		}
+	}
+	return wire, ok
 }
 
-func (e *Comm) sealCrossesNode(ctx *session.RecordCtx) bool {
+// sealCrossesNode classifies a seal by destination node when the record
+// binds a concrete destination, and by whether the communicator spans nodes
+// for fan-out (Wildcard) and context-free records.
+func (e *Comm) sealCrossesNode(ctx session.RecordCtx) bool {
 	c := e.c
 	if !c.HasTopology() {
 		return false
 	}
-	if ctx != nil && ctx.Dst >= 0 && ctx.Dst < c.Size() {
+	if ctx.Op != session.OpRaw && ctx.Dst >= 0 && ctx.Dst < c.Size() {
 		return c.NodeOf(ctx.Dst) != c.NodeOf(c.Rank())
 	}
 	return c.SpansNodes()
 }
 
-// open runs the engine's Open with timing and byte accounting; failed opens
+// open runs the engine's open with timing and byte accounting; failed opens
 // are recorded as auth failures (the cipher still ran before rejecting).
-func (e *Comm) open(wire mpi.Buffer, ctx *session.RecordCtx) (mpi.Buffer, error) {
+func (e *Comm) open(wire mpi.Buffer, ctx session.RecordCtx) (mpi.Buffer, error) {
+	return e.openTo(nil, wire, ctx)
+}
+
+// openTo is open with the contract's optional destination: the chunked
+// receive lands each chunk's plaintext straight in the message assembly.
+func (e *Comm) openTo(dst []byte, wire mpi.Buffer, ctx session.RecordCtx) (mpi.Buffer, error) {
 	proc := e.c.Proc()
-	run := func() (mpi.Buffer, error) {
-		if e.ceng != nil {
-			return e.ceng.OpenCtx(proc, wire, ctx)
-		}
-		return e.eng.Open(proc, wire)
-	}
 	if e.metrics == nil {
-		return run()
+		return e.eng.OpenTo(proc, dst, wire, ctx)
 	}
 	start := int64(proc.Now())
-	plain, err := run()
+	plain, err := e.eng.OpenTo(proc, dst, wire, ctx)
 	ns := int64(proc.Now()) - start
 	if err != nil {
 		e.metrics.AuthFailure(ns)
@@ -154,104 +152,38 @@ func (e *Comm) open(wire mpi.Buffer, ctx *session.RecordCtx) (mpi.Buffer, error)
 	return plain, nil
 }
 
-// openInto is open's copy-free variant for engines that support decrypting
-// into caller-owned storage; accounting matches open. oi may be nil when a
-// context engine handles the call.
-func (e *Comm) openInto(oi openerInto, dst []byte, wire mpi.Buffer, ctx *session.RecordCtx) (int, error) {
-	proc := e.c.Proc()
-	run := func() (int, error) {
-		if e.ceng != nil {
-			return e.ceng.OpenIntoCtx(proc, dst, wire, ctx)
-		}
-		return oi.OpenInto(proc, dst, wire)
-	}
-	if e.metrics == nil {
-		return run()
-	}
-	start := int64(proc.Now())
-	n, err := run()
-	ns := int64(proc.Now()) - start
-	if err != nil {
-		e.metrics.AuthFailure(ns)
-		return n, err
-	}
-	e.metrics.Open(wire.Len(), n, ns)
-	if wire.TransportOwned() {
-		e.metrics.OpenInPlace()
-	}
-	return n, nil
-}
-
-// slotSealer is implemented by engines that can seal directly into
-// caller-provided storage (RealEngine): the shm ring's zero-copy leg, where
-// ciphertext lands straight in the transport slot the receiver will open
-// from (DESIGN.md §14).
-type slotSealer interface {
-	SealInto(proc sched.Proc, dst []byte, plain mpi.Buffer) (int, bool)
-}
-
-// slotSealerCtx is the context-binding variant (the session engine).
-type slotSealerCtx interface {
-	SealIntoCtx(proc sched.Proc, dst []byte, plain mpi.Buffer, ctx *session.RecordCtx) (int, bool)
-}
-
 // sealToSlot tries to seal buf directly into a transport-owned ring slot
-// addressed to dst, returning the slot-backed wire buffer and true on
-// success. The returned buffer owns one lease reference exactly like seal's
-// result, but its storage is shared with the receiver, so it must travel via
-// IsendOwned/SendOwned (no eager clone) and must not be mutated after
-// injection. Any miss — no slot-capable engine, no ring, ring full, payload
-// out of the eager window, or the engine declining — falls back to the
-// ordinary seal path with nothing accounted.
-func (e *Comm) sealToSlot(dst int, buf mpi.Buffer, ctx *session.RecordCtx) (mpi.Buffer, bool) {
-	if buf.IsSynthetic() || buf.Len() == 0 {
+// addressed to dst (DESIGN.md §14), returning the slot-backed wire buffer
+// and true on success. The returned buffer owns one lease reference exactly
+// like seal's result, but its storage is shared with the receiver, so it
+// must travel via IsendOwned/SendOwned (no eager clone) and must not be
+// mutated after injection. Any miss — no ring, ring full, payload out of the
+// eager window, or the engine declining — falls back to the ordinary seal
+// path with nothing accounted.
+func (e *Comm) sealToSlot(dst int, buf mpi.Buffer, ctx session.RecordCtx) (mpi.Buffer, bool) {
+	if e.slotDeclined || buf.IsSynthetic() || buf.Len() == 0 {
 		return mpi.Buffer{}, false
 	}
-	var (
-		ss  slotSealer
-		ssc slotSealerCtx
-	)
-	if e.ceng != nil {
-		if ssc, _ = e.ceng.(slotSealerCtx); ssc == nil {
-			return mpi.Buffer{}, false
-		}
-	} else if ss, _ = e.eng.(slotSealer); ss == nil {
-		return mpi.Buffer{}, false
-	}
-	slot, ok := e.c.AcquireSlot(dst, buf.Len()+e.eng.Overhead())
+	slot, ok := e.c.AcquireSlot(dst, e.eng.WireLen(buf.Len()))
 	if !ok {
 		return mpi.Buffer{}, false
 	}
-	proc := e.c.Proc()
-	var start int64
-	if e.metrics != nil {
-		start = int64(proc.Now())
-	}
-	var n int
-	if ssc != nil {
-		n, ok = ssc.SealIntoCtx(proc, slot.Data, buf, ctx)
-	} else {
-		n, ok = ss.SealInto(proc, slot.Data, buf)
-	}
+	wire, ok := e.sealTo(slot.Data, buf, ctx)
 	if !ok {
+		e.slotDeclined = true
 		slot.Release()
 		return mpi.Buffer{}, false
 	}
 	if e.metrics != nil {
-		e.metrics.Seal(buf.Len(), n, int64(proc.Now())-start)
 		e.metrics.SealInPlace()
-		e.classifySealLocality(ctx)
 	}
-	return slot.Prefix(n), true
+	return slot.Prefix(wire.Len()), true
 }
 
 // p2pSendCtx derives the record context of an outgoing point-to-point
-// message; nil (context-free) under classic engines.
-func (e *Comm) p2pSendCtx(dst, tag int) *session.RecordCtx {
-	if e.ceng == nil {
-		return nil
-	}
-	return &session.RecordCtx{Op: session.OpP2P, Src: e.Rank(), Dst: dst, Tag: tag}
+// message.
+func (e *Comm) p2pSendCtx(dst, tag int) session.RecordCtx {
+	return session.RecordCtx{Op: session.OpP2P, Src: e.Rank(), Dst: dst, Tag: tag}
 }
 
 // p2pRecvCtx derives the context a received point-to-point record must have
@@ -259,25 +191,19 @@ func (e *Comm) p2pSendCtx(dst, tag int) *session.RecordCtx {
 // the protocol reports before Wait translates it); a source outside this
 // communicator maps to an impossible rank so the record cannot authenticate
 // — no honest member sealed it for us.
-func (e *Comm) p2pRecvCtx(worldSrc, tag int) *session.RecordCtx {
-	if e.ceng == nil {
-		return nil
-	}
+func (e *Comm) p2pRecvCtx(worldSrc, tag int) session.RecordCtx {
 	src, ok := e.c.CommRank(worldSrc)
 	if !ok {
 		src = -2
 	}
-	return &session.RecordCtx{Op: session.OpP2P, Src: src, Dst: e.Rank(), Tag: tag}
+	return session.RecordCtx{Op: session.OpP2P, Src: src, Dst: e.Rank(), Tag: tag}
 }
 
 // collCtx derives a collective record context. Fan-out records (Bcast,
 // Allgather) are sealed once for every receiver and carry Dst =
 // session.Wildcard; pairwise ones (Alltoall, Alltoallv) bind both ends.
-func (e *Comm) collCtx(op session.Op, src, dst int) *session.RecordCtx {
-	if e.ceng == nil {
-		return nil
-	}
-	return &session.RecordCtx{Op: op, Src: src, Dst: dst}
+func (e *Comm) collCtx(op session.Op, src, dst int) session.RecordCtx {
+	return session.RecordCtx{Op: op, Src: src, Dst: dst}
 }
 
 // Rank returns this rank.
@@ -462,29 +388,21 @@ func (e *Comm) Bcast(root int, buf mpi.Buffer) (mpi.Buffer, error) {
 // ciphertexts, decrypt all of them (including our own, which made the round
 // trip as ciphertext).
 func (e *Comm) Allgather(myBlock mpi.Buffer) ([]mpi.Buffer, error) {
-	wire := e.seal(myBlock, e.collCtx(session.OpAllgather, e.Rank(), session.Wildcard))
-	gathered := e.c.Allgather(wire)
-	out := make([]mpi.Buffer, len(gathered))
-	for i, w := range gathered {
-		plain, err := e.open(w, e.collCtx(session.OpAllgather, i, session.Wildcard))
-		if err != nil {
-			return nil, fmt.Errorf("encmpi: allgather block %d: %w", i, err)
-		}
-		out[i] = plain
-	}
-	return out, nil
+	return e.allgather(session.OpAllgather, "allgather", e.c.Allgather, myBlock)
 }
 
 // Allgatherv is Encrypted_Allgatherv: Allgather with ragged block sizes.
-// Seal the local block, allgatherv the ciphertexts, decrypt all of them.
 func (e *Comm) Allgatherv(myBlock mpi.Buffer) ([]mpi.Buffer, error) {
-	wire := e.seal(myBlock, e.collCtx(session.OpAllgatherv, e.Rank(), session.Wildcard))
-	gathered := e.c.Allgatherv(wire)
+	return e.allgather(session.OpAllgatherv, "allgatherv", e.c.Allgatherv, myBlock)
+}
+
+func (e *Comm) allgather(op session.Op, name string, gather func(mpi.Buffer) []mpi.Buffer, myBlock mpi.Buffer) ([]mpi.Buffer, error) {
+	gathered := gather(e.seal(myBlock, e.collCtx(op, e.Rank(), session.Wildcard)))
 	out := make([]mpi.Buffer, len(gathered))
 	for i, w := range gathered {
-		plain, err := e.open(w, e.collCtx(session.OpAllgatherv, i, session.Wildcard))
+		plain, err := e.open(w, e.collCtx(op, i, session.Wildcard))
 		if err != nil {
-			return nil, fmt.Errorf("encmpi: allgatherv block %d: %w", i, err)
+			return nil, fmt.Errorf("encmpi: %s block %d: %w", name, i, err)
 		}
 		out[i] = plain
 	}
@@ -496,35 +414,26 @@ func (e *Comm) Allgatherv(myBlock mpi.Buffer) ([]mpi.Buffer, error) {
 // moves the (ℓ+28)-byte ciphertext blocks, and each incoming block is
 // decrypted.
 func (e *Comm) Alltoall(blocks []mpi.Buffer) ([]mpi.Buffer, error) {
-	encSend := make([]mpi.Buffer, len(blocks))
-	for i, b := range blocks {
-		encSend[i] = e.seal(b, e.collCtx(session.OpAlltoall, e.Rank(), i))
-	}
-	encRecv := e.c.Alltoall(encSend)
-	out := make([]mpi.Buffer, len(encRecv))
-	for i, w := range encRecv {
-		plain, err := e.open(w, e.collCtx(session.OpAlltoall, i, e.Rank()))
-		if err != nil {
-			return nil, fmt.Errorf("encmpi: alltoall block %d: %w", i, err)
-		}
-		out[i] = plain
-	}
-	return out, nil
+	return e.alltoall(session.OpAlltoall, "alltoall", e.c.Alltoall, blocks)
 }
 
 // Alltoallv is Encrypted_Alltoallv: identical to Alltoall but with ragged
 // block sizes (each wire block is its plaintext length plus 28).
 func (e *Comm) Alltoallv(blocks []mpi.Buffer) ([]mpi.Buffer, error) {
+	return e.alltoall(session.OpAlltoallv, "alltoallv", e.c.Alltoallv, blocks)
+}
+
+func (e *Comm) alltoall(op session.Op, name string, exchange func([]mpi.Buffer) []mpi.Buffer, blocks []mpi.Buffer) ([]mpi.Buffer, error) {
 	encSend := make([]mpi.Buffer, len(blocks))
 	for i, b := range blocks {
-		encSend[i] = e.seal(b, e.collCtx(session.OpAlltoallv, e.Rank(), i))
+		encSend[i] = e.seal(b, e.collCtx(op, e.Rank(), i))
 	}
-	encRecv := e.c.Alltoallv(encSend)
+	encRecv := exchange(encSend)
 	out := make([]mpi.Buffer, len(encRecv))
 	for i, w := range encRecv {
-		plain, err := e.open(w, e.collCtx(session.OpAlltoallv, i, e.Rank()))
+		plain, err := e.open(w, e.collCtx(op, i, e.Rank()))
 		if err != nil {
-			return nil, fmt.Errorf("encmpi: alltoallv block %d: %w", i, err)
+			return nil, fmt.Errorf("encmpi: %s block %d: %w", name, i, err)
 		}
 		out[i] = plain
 	}

@@ -13,6 +13,8 @@ import (
 	"encmpi/internal/encmpi"
 	"encmpi/internal/job"
 	"encmpi/internal/mpi"
+	"encmpi/internal/obs"
+	"encmpi/internal/session"
 	"encmpi/internal/simnet"
 )
 
@@ -28,6 +30,21 @@ func realEngine(t testing.TB, codecName string, rank int) *encmpi.RealEngine {
 		t.Fatal(err)
 	}
 	return encmpi.NewRealEngine(codec, aead.NewCounterNonce(uint32(rank)))
+}
+
+// sessionEngine builds an aesstd session from cfg's key (and id, when set)
+// attached as one endpoint — rank of size — charging scope (nil: unobserved).
+func sessionEngine(t testing.TB, cfg session.Config, rank, size int, scope *obs.SessionScope) *session.Engine {
+	t.Helper()
+	cfg.Build = func(k []byte) (aead.Codec, error) { return codecs.New("aesstd", k) }
+	s, err := session.New(cfg)
+	if err == nil {
+		err = s.Attach(rank, size, scope)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Engine()
 }
 
 // runEncrypted runs a body over shm with real per-rank engines.
@@ -447,8 +464,8 @@ func TestEngineNames(t *testing.T) {
 	if re.Name() != "aesref-256" {
 		t.Errorf("real engine name %q", re.Name())
 	}
-	if re.Overhead() != 28 || (encmpi.NullEngine{}).Overhead() != 0 {
-		t.Error("overhead reporting")
+	if re.WireLen(100) != 128 || (encmpi.NullEngine{}).WireLen(100) != 100 {
+		t.Error("wire-length reporting")
 	}
 }
 

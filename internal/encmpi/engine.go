@@ -24,39 +24,65 @@ import (
 	"encmpi/internal/session"
 )
 
-// Engine performs (or models) authenticated encryption of message buffers.
+// Engine is the one crypto contract of the encrypted layer (DESIGN.md §7.1):
+// every engine implements all of it, so the communicator never asks what an
+// engine can do — it makes the same two calls for every record.
+//
+// dst is the optional destination. nil means "give me a buffer": the result
+// owns whatever pool lease backs it and the caller releases it. Non-nil means
+// "land the bytes here": on success the result is an unleased view of
+// dst[:n]; when the bytes cannot land there (dst too small, a synthetic
+// input, an engine that never seals in place) SealTo reports ok=false and
+// OpenTo an error — nothing was accounted, dst's contents are undefined, and
+// the caller falls back to a nil-dst call.
+//
+// ctx is the record's communication binding. Engines that authenticate it as
+// AEAD additional data (the session engine) fail any open whose derived
+// context differs from the sealer's; the others ignore it. The zero RecordCtx
+// (Op == session.OpRaw) is the context-free form. It travels by value so no
+// engine ever costs a heap allocation per record for it.
 type Engine interface {
 	// Name identifies the engine for reports.
 	Name() string
-	// Overhead is the per-message wire expansion in bytes (28 for AES-GCM).
-	Overhead() int
-	// Seal encrypts plain into its wire form, charging any modeled CPU cost
-	// to proc (which may be nil in non-process contexts).
+	// WireLen is the sealed size of an n-byte plaintext (n+28 per AES-GCM
+	// record; the parallel engine expands per chunk).
+	WireLen(n int) int
+	// SealTo encrypts plain into its wire form, charging any modeled CPU
+	// cost to proc (which may be nil in non-process contexts).
+	SealTo(proc sched.Proc, dst []byte, plain mpi.Buffer, ctx session.RecordCtx) (wire mpi.Buffer, ok bool)
+	// OpenTo authenticates and decrypts a wire buffer.
+	OpenTo(proc sched.Proc, dst []byte, wire mpi.Buffer, ctx session.RecordCtx) (mpi.Buffer, error)
+	// Seal is SealTo(proc, nil, plain, session.RecordCtx{}).
 	Seal(proc sched.Proc, plain mpi.Buffer) mpi.Buffer
-	// Open decrypts a wire buffer, returning the plaintext or an
-	// authentication error.
+	// Open is OpenTo(proc, nil, wire, session.RecordCtx{}).
 	Open(proc sched.Proc, wire mpi.Buffer) (mpi.Buffer, error)
 }
 
-// ContextEngine is implemented by engines that authenticate each record's
-// communication context — (session, epoch, src, dst, op, tag, seq, chunk) —
-// as AEAD additional data (the session engine, DESIGN.md §13). When the
-// wrapped engine implements it, the communicator derives a RecordCtx at every
-// seal and open site and a replayed, cross-session-spliced, reflected, or
-// transplanted ciphertext fails authentication itself, instead of relying on
-// downstream heuristics. A nil ctx is the context-free (OpRaw) form.
-type ContextEngine interface {
-	Engine
-	// SealCtx seals plain with ctx authenticated into the record's AAD.
-	SealCtx(proc sched.Proc, plain mpi.Buffer, ctx *session.RecordCtx) mpi.Buffer
-	// OpenCtx opens a record against the context the receiver derived for it.
-	OpenCtx(proc sched.Proc, wire mpi.Buffer, ctx *session.RecordCtx) (mpi.Buffer, error)
-	// OpenIntoCtx is OpenCtx decrypting straight into dst.
-	OpenIntoCtx(proc sched.Proc, dst []byte, wire mpi.Buffer, ctx *session.RecordCtx) (int, error)
+var (
+	_ Engine = NullEngine{}
+	_ Engine = (*RealEngine)(nil)
+	_ Engine = (*ParallelEngine)(nil)
+	_ Engine = (*ModelEngine)(nil)
+	_ Engine = (*session.Engine)(nil)
+	_ Engine = (*HearEngine)(nil)
+)
+
+// errDstShort reports an OpenTo destination that cannot hold the plaintext.
+func errDstShort(have, need int) error {
+	return fmt.Errorf("encmpi: open destination holds %d bytes, plaintext is %d", have, need)
 }
 
-// The session engine is the canonical ContextEngine.
-var _ ContextEngine = (*session.Engine)(nil)
+// landIn copies src into dst for the engines whose plaintext is (a prefix
+// of) the wire itself; a synthetic src has no bytes to land.
+func landIn(dst []byte, src mpi.Buffer, n int) (mpi.Buffer, error) {
+	if src.IsSynthetic() {
+		return mpi.Buffer{}, fmt.Errorf("encmpi: cannot land a synthetic buffer in a destination")
+	}
+	if n > len(dst) {
+		return mpi.Buffer{}, errDstShort(len(dst), n)
+	}
+	return mpi.Bytes(dst[:copy(dst, src.Data[:n])]), nil
+}
 
 // NullEngine is the unencrypted baseline: buffers pass through untouched.
 // Running the benchmark harness with NullEngine gives the "Unencrypted" rows
@@ -66,8 +92,25 @@ type NullEngine struct{}
 // Name implements Engine.
 func (NullEngine) Name() string { return "unencrypted" }
 
-// Overhead implements Engine.
-func (NullEngine) Overhead() int { return 0 }
+// WireLen implements Engine.
+func (NullEngine) WireLen(n int) int { return n }
+
+// SealTo implements Engine. There is nothing to seal, so nothing lands in
+// dst: a non-nil dst is declined.
+func (NullEngine) SealTo(_ sched.Proc, dst []byte, plain mpi.Buffer, _ session.RecordCtx) (mpi.Buffer, bool) {
+	if dst != nil {
+		return mpi.Buffer{}, false
+	}
+	return plain, true
+}
+
+// OpenTo implements Engine.
+func (NullEngine) OpenTo(_ sched.Proc, dst []byte, wire mpi.Buffer, _ session.RecordCtx) (mpi.Buffer, error) {
+	if dst != nil {
+		return landIn(dst, wire, wire.Len())
+	}
+	return wire, nil
+}
 
 // Seal implements Engine.
 func (NullEngine) Seal(_ sched.Proc, plain mpi.Buffer) mpi.Buffer { return plain }
@@ -81,11 +124,6 @@ func (NullEngine) Open(_ sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) { retu
 type RealEngine struct {
 	codec aead.Codec
 	nonce aead.NonceSource
-
-	// NoPool disables the pooled wire/plaintext buffers, restoring the
-	// allocate-per-call behaviour. It exists for the allocation benchmarks'
-	// baseline; leave it false in production.
-	NoPool bool
 }
 
 // NewRealEngine builds a real engine.
@@ -96,125 +134,95 @@ func NewRealEngine(codec aead.Codec, nonce aead.NonceSource) *RealEngine {
 // Name implements Engine.
 func (e *RealEngine) Name() string { return e.codec.Name() }
 
-// Overhead implements Engine.
-func (e *RealEngine) Overhead() int { return aead.Overhead }
+// WireLen implements Engine.
+func (e *RealEngine) WireLen(n int) int { return aead.WireLen(n) }
 
-// Seal implements Engine. Synthetic buffers are materialized as zeros: real
-// cryptography needs real bytes, and the cost is then honestly paid. The wire
-// buffer (and the zeroed scratch for synthetic inputs) is drawn from the
-// buffer pool; the returned buffer carries one lease reference owned by the
-// caller, released once the transport no longer needs the bytes.
-func (e *RealEngine) Seal(_ sched.Proc, plain mpi.Buffer) mpi.Buffer {
+// SealTo implements Engine. With a nil dst, synthetic buffers are
+// materialized as zeros — real cryptography needs real bytes, and the cost
+// is then honestly paid — and the wire buffer (like the zeroed scratch) is
+// drawn from the buffer pool. With a dst (the shm ring's transport slot,
+// DESIGN.md §14) the record lands there or the seal is declined: synthetic
+// plaintext, a too-small dst, or a padding codec that outgrew dst. A nonce
+// may have been consumed on that last path; nonce sources tolerate gaps.
+func (e *RealEngine) SealTo(_ sched.Proc, dst []byte, plain mpi.Buffer, _ session.RecordCtx) (mpi.Buffer, bool) {
+	if dst != nil && (plain.IsSynthetic() || aead.WireLen(plain.Len()) > len(dst)) {
+		return mpi.Buffer{}, false
+	}
 	data := plain.Data
-	var scratch *bufpool.Lease
+	var scratch, lease *bufpool.Lease
 	if plain.IsSynthetic() && plain.Len() > 0 {
-		if e.NoPool {
-			data = make([]byte, plain.Len())
-		} else {
-			scratch = bufpool.Get(plain.Len())
-			data = scratch.Bytes()[:plain.Len()]
-			clear(data) // pooled storage is dirty; the model is all-zeros
-		}
+		scratch = bufpool.Get(plain.Len())
+		data = scratch.Bytes()[:plain.Len()]
+		clear(data) // pooled storage is dirty; the model is all-zeros
 	}
-	if e.NoPool {
-		wire, err := aead.EncryptMessage(e.codec, e.nonce, nil, data)
-		if err != nil {
-			panic(fmt.Sprintf("encmpi: nonce generation failed: %v", err))
-		}
-		return mpi.Bytes(wire)
+	out := dst
+	if dst == nil {
+		lease = bufpool.Get(aead.WireLen(len(data)))
+		out = lease.Bytes()
 	}
-	lease := bufpool.Get(aead.WireLen(len(data)))
-	// EncryptMessage writes into the leased storage when its capacity covers
-	// the wire length (true for tag-exact codecs; a padding codec may outgrow
-	// it and reallocate, in which case the lease recycles unused — safe).
-	wire, err := aead.EncryptMessage(e.codec, e.nonce, lease.Bytes()[:0], data)
+	// EncryptMessage writes into out when its capacity covers the wire
+	// length (true for tag-exact codecs; a padding codec may outgrow it and
+	// reallocate, in which case a lease recycles unused — safe).
+	wire, err := aead.EncryptMessage(e.codec, e.nonce, out[:0], data)
 	scratch.Release()
 	if err != nil {
 		lease.Release()
 		panic(fmt.Sprintf("encmpi: nonce generation failed: %v", err))
 	}
-	return mpi.BytesWithLease(wire, lease)
+	if dst == nil {
+		return mpi.BytesWithLease(wire, lease), true
+	}
+	if len(wire) > len(dst) || &wire[0] != &dst[0] {
+		return mpi.Buffer{}, false // the codec outgrew dst and reallocated
+	}
+	return mpi.Bytes(wire), true
 }
 
-// SealInto seals plain directly into dst — the transport-slot fast path of
-// the shm ring (DESIGN.md §14). dst must be sized for the wire form
-// (aead.WireLen of the plaintext); the wire length is returned. ok=false
-// means the seal could not land in place — synthetic plaintext, a too-small
-// dst, or a padding codec that outgrew dst and reallocated — and the caller
-// must fall back to Seal (dst's contents are then undefined and nothing was
-// accounted). A nonce may have been consumed on the realloc path; nonce
-// sources tolerate gaps.
-func (e *RealEngine) SealInto(_ sched.Proc, dst []byte, plain mpi.Buffer) (int, bool) {
-	if e.NoPool || plain.IsSynthetic() || aead.WireLen(plain.Len()) > len(dst) {
-		// NoPool is the allocate-per-call baseline: it must not dodge the
-		// allocation it exists to measure.
-		return 0, false
-	}
-	wire, err := aead.EncryptMessage(e.codec, e.nonce, dst[:0], plain.Data)
-	if err != nil {
-		panic(fmt.Sprintf("encmpi: nonce generation failed: %v", err))
-	}
-	if len(wire) > len(dst) || (len(wire) > 0 && &wire[0] != &dst[0]) {
-		return 0, false
-	}
-	return len(wire), true
-}
-
-// Open implements Engine. The plaintext buffer is drawn from the buffer pool;
-// the returned buffer carries one lease reference owned by the caller.
-func (e *RealEngine) Open(_ sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) {
+// OpenTo implements Engine. With a nil dst the plaintext buffer is drawn from
+// the buffer pool; with a dst (the chunked receive's message assembly) the
+// plaintext lands there with no intermediate buffer.
+func (e *RealEngine) OpenTo(_ sched.Proc, dst []byte, wire mpi.Buffer, _ session.RecordCtx) (mpi.Buffer, error) {
 	if wire.IsSynthetic() {
 		return mpi.Buffer{}, fmt.Errorf("encmpi: cannot decrypt a synthetic buffer with a real engine")
-	}
-	if e.NoPool {
-		plain, err := aead.DecryptMessage(e.codec, nil, wire.Data)
-		if err != nil {
-			return mpi.Buffer{}, err
-		}
-		return mpi.Bytes(plain), nil
 	}
 	n, err := aead.PlainLen(wire.Len())
 	if err != nil {
 		return mpi.Buffer{}, err
 	}
-	lease := bufpool.Get(n)
-	// DecryptMessage opens into the leased storage when its capacity covers
-	// the plaintext (true for tag-exact codecs; others may reallocate, in
-	// which case the lease recycles unused — safe).
-	plain, err := aead.DecryptMessage(e.codec, lease.Bytes()[:0], wire.Data)
+	out := dst
+	var lease *bufpool.Lease
+	if dst == nil {
+		lease = bufpool.Get(n)
+		out = lease.Bytes()
+	} else if n > len(dst) {
+		return mpi.Buffer{}, errDstShort(len(dst), n)
+	}
+	// DecryptMessage opens into out when its capacity covers the plaintext
+	// (true for tag-exact codecs; others may reallocate).
+	plain, err := aead.DecryptMessage(e.codec, out[:0], wire.Data)
 	if err != nil {
 		lease.Release()
 		return mpi.Buffer{}, err
 	}
-	return mpi.BytesWithLease(plain, lease), nil
-}
-
-// OpenInto decrypts a wire buffer directly into dst, sparing Open's pooled
-// intermediate buffer. It is the chunked receive path's fast path: each
-// chunk's plaintext lands straight in the message assembly instead of being
-// decrypted into scratch and copied over. dst must be sized for the
-// plaintext (PlainLen of the wire); the plaintext length is returned.
-func (e *RealEngine) OpenInto(_ sched.Proc, dst []byte, wire mpi.Buffer) (int, error) {
-	if wire.IsSynthetic() {
-		return 0, fmt.Errorf("encmpi: cannot decrypt a synthetic buffer with a real engine")
-	}
-	n, err := aead.PlainLen(wire.Len())
-	if err != nil {
-		return 0, err
-	}
-	if n > len(dst) {
-		return 0, fmt.Errorf("encmpi: OpenInto destination holds %d bytes, plaintext is %d", len(dst), n)
-	}
-	plain, err := aead.DecryptMessage(e.codec, dst[:0], wire.Data)
-	if err != nil {
-		return 0, err
+	if dst == nil {
+		return mpi.BytesWithLease(plain, lease), nil
 	}
 	if len(plain) > 0 && &plain[0] != &dst[0] {
-		// The codec outgrew the destination prediction and reallocated (a
-		// padding codec can): land the bytes where the caller asked.
+		// The codec reallocated: land the bytes where the caller asked.
 		copy(dst, plain)
 	}
-	return len(plain), nil
+	return mpi.Bytes(dst[:len(plain)]), nil
+}
+
+// Seal implements Engine.
+func (e *RealEngine) Seal(p sched.Proc, plain mpi.Buffer) mpi.Buffer {
+	wire, _ := e.SealTo(p, nil, plain, session.RecordCtx{})
+	return wire
+}
+
+// Open implements Engine.
+func (e *RealEngine) Open(p sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) {
+	return e.OpenTo(p, nil, wire, session.RecordCtx{})
 }
 
 // ModelEngine charges calibrated virtual time for encryption and decryption
@@ -257,8 +265,8 @@ func (e *ModelEngine) Name() string {
 	return fmt.Sprintf("%s-%d(%s)", e.profile.Library, e.profile.KeyBits, e.profile.Variant)
 }
 
-// Overhead implements Engine.
-func (e *ModelEngine) Overhead() int { return aead.Overhead }
+// WireLen implements Engine.
+func (e *ModelEngine) WireLen(n int) int { return aead.WireLen(n) }
 
 // threads returns the effective parallelism.
 func (e *ModelEngine) threads() time.Duration {
@@ -268,34 +276,57 @@ func (e *ModelEngine) threads() time.Duration {
 	return time.Duration(e.Threads)
 }
 
-// Seal implements Engine: advance the proc by the modeled encryption time.
+// SealTo implements Engine: advance the proc by the modeled encryption time.
 // Real payload bytes are preserved (padded by the 28-byte wire overhead) so
 // protocols that mix small real headers with synthetic bulk data work under
-// the model engine too.
-func (e *ModelEngine) Seal(proc sched.Proc, plain mpi.Buffer) mpi.Buffer {
+// the model engine too. The model never seals in place: a non-nil dst is
+// declined before any time is charged.
+func (e *ModelEngine) SealTo(proc sched.Proc, dst []byte, plain mpi.Buffer, _ session.RecordCtx) (mpi.Buffer, bool) {
+	if dst != nil {
+		return mpi.Buffer{}, false
+	}
 	cost := e.SenderOverhead + e.profile.Curve.EncTime(plain.Len())/e.threads()
 	if proc != nil {
 		proc.Advance(cost)
 	}
 	if plain.IsSynthetic() {
-		return mpi.Synthetic(plain.Len() + aead.Overhead)
+		return mpi.Synthetic(plain.Len() + aead.Overhead), true
 	}
 	wire := make([]byte, plain.Len()+aead.Overhead)
 	copy(wire, plain.Data)
-	return mpi.Bytes(wire)
+	return mpi.Bytes(wire), true
 }
 
-// Open implements Engine.
-func (e *ModelEngine) Open(proc sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) {
+// OpenTo implements Engine.
+func (e *ModelEngine) OpenTo(proc sched.Proc, dst []byte, wire mpi.Buffer, _ session.RecordCtx) (mpi.Buffer, error) {
 	n, err := aead.PlainLen(wire.Len())
 	if err != nil {
 		return mpi.Buffer{}, err
+	}
+	// Prefix keeps the wire buffer's lease identity: a caller that would
+	// recycle the wire after Open can see the plaintext still aliases it.
+	plain := wire.Prefix(n)
+	if dst != nil {
+		// Land first: a destination that cannot take the bytes fails before
+		// any time is charged.
+		if plain, err = landIn(dst, wire, n); err != nil {
+			return mpi.Buffer{}, err
+		}
 	}
 	cost := e.ReceiverOverhead + e.profile.Curve.DecTime(n)/e.threads()
 	if proc != nil {
 		proc.Advance(cost)
 	}
-	// Prefix keeps the wire buffer's lease identity: a caller that would
-	// recycle the wire after Open can see the plaintext still aliases it.
-	return wire.Prefix(n), nil
+	return plain, nil
+}
+
+// Seal implements Engine.
+func (e *ModelEngine) Seal(p sched.Proc, plain mpi.Buffer) mpi.Buffer {
+	wire, _ := e.SealTo(p, nil, plain, session.RecordCtx{})
+	return wire
+}
+
+// Open implements Engine.
+func (e *ModelEngine) Open(p sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) {
+	return e.OpenTo(p, nil, wire, session.RecordCtx{})
 }

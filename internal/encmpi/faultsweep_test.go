@@ -10,15 +10,18 @@ package encmpi_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"encmpi/internal/aead"
 	"encmpi/internal/encmpi"
 	"encmpi/internal/mpi"
 	"encmpi/internal/obs"
 	"encmpi/internal/sched"
+	"encmpi/internal/session"
 	"encmpi/internal/transport/faulty"
 	"encmpi/internal/transport/shm"
 	"encmpi/internal/transport/tcp"
@@ -29,17 +32,18 @@ type sweepEngine struct {
 	name string
 	// auth: tampered bytes must surface as an error, never as wrong data.
 	auth bool
-	// guarded: replayed ciphertexts to the same receiver must be rejected.
+	// guarded: replayed and duplicated ciphertexts must be rejected as
+	// authentication failures, at every receiver.
 	guarded bool
-	mk      func(t *testing.T, rank int) encmpi.Engine
+	mk      func(t *testing.T, rank, size int) encmpi.Engine
 }
 
 func sweepEngines(t *testing.T) []sweepEngine {
 	t.Helper()
-	// Every engine is built from a declarative spec; the per-rank nonce
-	// prefix is the only field rewritten per rank.
-	fromSpec := func(spec encmpi.EngineSpec) func(t *testing.T, rank int) encmpi.Engine {
-		return func(t *testing.T, rank int) encmpi.Engine {
+	// The classic engines are built from a declarative spec; the per-rank
+	// nonce prefix is the only field rewritten per rank.
+	fromSpec := func(spec encmpi.EngineSpec) func(t *testing.T, rank, size int) encmpi.Engine {
+		return func(t *testing.T, rank, _ int) encmpi.Engine {
 			s := spec
 			s.NoncePrefix = uint32(rank)
 			eng, err := encmpi.NewEngine(s)
@@ -57,8 +61,11 @@ func sweepEngines(t *testing.T) []sweepEngine {
 			Kind: "real", Codec: "aesstd", Key: testKey})},
 		{name: "parallel", auth: true, mk: fromSpec(encmpi.EngineSpec{
 			Kind: "parallel", Codec: "aesstd", Key: testKey, Workers: 4, Chunk: 1 << 10})},
-		{name: "replayguard", auth: true, guarded: true, mk: fromSpec(encmpi.EngineSpec{
-			Kind: "real", Codec: "aesstd", Key: testKey, ReplayGuard: true})},
+		// The session engine binds every record to its communication context
+		// and admits each (epoch, src, seq) once: the replay-defence column.
+		{name: "session", auth: true, guarded: true, mk: func(t *testing.T, rank, size int) encmpi.Engine {
+			return sessionEngine(t, session.Config{Key: testKey}, rank, size, nil)
+		}},
 	}
 }
 
@@ -116,12 +123,6 @@ type sweepRoutine struct {
 	ranks int
 	// eager is the protocol switch threshold for the cell's world.
 	eager int
-	// singleReceiver: all faulted traffic targets one rank, so a replayed
-	// ciphertext reaches a receiver that already accepted the original —
-	// the case ReplayGuard provably rejects. (With a shared key and no AAD
-	// binding ciphertexts to their slot, a replay redirected to a *fresh*
-	// receiver is indistinguishable from genuine traffic; see DESIGN.md.)
-	singleReceiver bool
 	// dropOnly marks the probe-based routine used for the Drop mode, where
 	// a blocking receive would otherwise wait forever for the lost bytes.
 	dropOnly bool
@@ -134,7 +135,7 @@ type sweepRoutine struct {
 func sweepRoutines() []sweepRoutine {
 	return []sweepRoutine{
 		{
-			name: "send-recv", ranks: 2, eager: 1 << 10, singleReceiver: true,
+			name: "send-recv", ranks: 2, eager: 1 << 10,
 			body: func(c *cell, e *encmpi.Comm) {
 				eagerMsg := sweepPayload(1, 512) // below the eager threshold
 				rndvMsg := sweepPayload(2, 4096) // rendezvous RTS/CTS/DATA
@@ -151,17 +152,22 @@ func sweepRoutines() []sweepRoutine {
 			},
 		},
 		{
-			name: "pipelined", ranks: 2, eager: 64 << 10, singleReceiver: true,
+			// The explicit stream framing (bcastpipe.go): a sealed 16-byte
+			// announcement header, then sealed chunks at strided tags. Two
+			// ranks: an interior relay whose header fails to open stops
+			// forwarding, which starves its subtree (documented there) — a
+			// liveness gap, not a decode defect, so the sweep stays on the
+			// root → leaf stream.
+			name: "bcast-pipelined", ranks: 2, eager: 64 << 10,
 			body: func(c *cell, e *encmpi.Comm) {
 				payload := sweepPayload(3, 6<<10)
-				const chunk = 1 << 10
-				switch e.Rank() {
-				case 0:
-					err := e.SendPipelined(1, 3, mpi.Bytes(payload), chunk)
-					c.report("pipelined-send", mpi.Buffer{}, nil, err)
-				case 1:
-					got, err := e.RecvPipelined(0, 3, chunk)
-					c.report("pipelined-recv", got, payload, err)
+				var buf mpi.Buffer
+				if e.Rank() == 0 {
+					buf = mpi.Bytes(payload)
+				}
+				got, err := e.BcastPipelined(0, 3, buf, 1<<10)
+				if e.Rank() != 0 {
+					c.report("bcast-pipelined", got, payload, err)
 				}
 			},
 		},
@@ -172,7 +178,7 @@ func sweepRoutines() []sweepRoutine {
 			// reordered, duplicated, corrupted, extended, or replayed chunk
 			// frames must fail the receive — never panic, never hang, never
 			// mis-assemble.
-			name: "chunked-rendezvous", ranks: 2, eager: 1 << 10, singleReceiver: true,
+			name: "chunked-rendezvous", ranks: 2, eager: 1 << 10,
 			wrap: []encmpi.WrapOption{encmpi.WithPipeline(8<<10, 2<<10)},
 			body: func(c *cell, e *encmpi.Comm) {
 				payload := sweepPayload(6, 32<<10)
@@ -296,7 +302,7 @@ func skipCell(eng sweepEngine, rt sweepRoutine, mode faulty.Mode) string {
 	if rt.dropOnly != (mode == faulty.Drop) {
 		return "routine/mode pairing"
 	}
-	if eng.name == "null" && rt.name == "pipelined" && mode == faulty.Corrupt {
+	if eng.name == "null" && rt.name == "bcast-pipelined" && mode == faulty.Corrupt {
 		// With no authentication, a corrupted raw length header can
 		// announce bytes that never arrive: the receiver blocks, which is
 		// message loss (availability), not a decode defect. The
@@ -398,7 +404,7 @@ func runSweepCell(t *testing.T, eng sweepEngine, mode faulty.Mode, rt sweepRouti
 					c.reportPanic(fmt.Sprintf("rank%d", comm.Rank()), r)
 				}
 			}()
-			rt.body(c, encmpi.Wrap(comm, eng.mk(t, comm.Rank()), rt.wrap...))
+			rt.body(c, encmpi.Wrap(comm, eng.mk(t, comm.Rank(), rt.ranks), rt.wrap...))
 		}(comm)
 	}
 
@@ -414,15 +420,24 @@ func runSweepCell(t *testing.T, eng sweepEngine, mode faulty.Mode, rt sweepRouti
 		t.Fatalf("fault %v was never injected", mode)
 	}
 
-	// Replay strictness needs a receiver that saw the original ciphertext;
-	// see sweepRoutine.singleReceiver.
-	strict := eng.auth && (mode != faulty.Replay || (eng.guarded && rt.singleReceiver))
+	// A context-free engine cannot tell a replayed genuine ciphertext from
+	// fresh traffic; the session engine can, at every receiver. (A fan-out
+	// record replayed to a receiver that has not seen it yet is the genuine
+	// bytes for that receiver too, and opens correctly.)
+	strict := eng.auth && (mode != faulty.Replay || eng.guarded)
+	replayed := eng.guarded && (mode == faulty.Replay || mode == faulty.DuplicateDelivery)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, o := range c.outs {
 		if o.hard {
 			t.Errorf("%s: %v", o.desc, o.err)
 			continue
+		}
+		if replayed && o.err != nil && !errors.Is(o.err, aead.ErrAuth) && !errors.Is(o.err, mpi.ErrTransport) {
+			// session.ErrReplay and context mismatches both wrap ErrAuth; the
+			// rendezvous protocol may refuse a duplicated frame before the
+			// cipher ever sees it.
+			t.Errorf("%s: replayed record rejected as %v, want an aead.ErrAuth-family error", o.desc, o.err)
 		}
 		if !strict {
 			continue

@@ -23,36 +23,21 @@ import (
 	"encmpi/internal/hear"
 	"encmpi/internal/mpi"
 	"encmpi/internal/obs"
-	"encmpi/internal/sched"
 )
 
 // HearEngine is the spec-level carrier for the additive-noise reduction
-// path: Wrap unwraps it, runs all AEAD routines on Inner, and installs the
-// hear parameters on the communicator. It still implements Engine (by
-// delegation) so generic engine plumbing — fault sweeps, name reports —
-// treats it like any other.
+// path: Wrap unwraps it, runs all AEAD routines on the embedded inner engine,
+// and installs the hear parameters on the communicator. It still implements
+// Engine (the embedded engine's methods: reductions under hear add zero wire
+// bytes, and the inner engine frames every non-reduction routine) so generic
+// engine plumbing — fault sweeps, name reports — treats it like any other.
 type HearEngine struct {
-	Inner  Engine
+	Engine
 	Params hear.Params
 }
 
 // Name implements Engine.
-func (h *HearEngine) Name() string { return "hear+" + h.Inner.Name() }
-
-// Overhead implements Engine. Reductions under hear add zero wire bytes;
-// the reported overhead is the inner engine's, which still frames every
-// non-reduction routine.
-func (h *HearEngine) Overhead() int { return h.Inner.Overhead() }
-
-// Seal implements Engine by delegating to the inner AEAD engine.
-func (h *HearEngine) Seal(proc sched.Proc, plain mpi.Buffer) mpi.Buffer {
-	return h.Inner.Seal(proc, plain)
-}
-
-// Open implements Engine by delegating to the inner AEAD engine.
-func (h *HearEngine) Open(proc sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) {
-	return h.Inner.Open(proc, wire)
-}
+func (h *HearEngine) Name() string { return "hear+" + h.Engine.Name() }
 
 // hearState returns the per-communicator key state, running the key ceremony
 // on first use. The ceremony mirrors libhear's setup and is collective:

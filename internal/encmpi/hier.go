@@ -28,15 +28,11 @@ import (
 	"encmpi/internal/session"
 )
 
-// hierCtx derives a hierarchical-collective record context; nil under
-// classic engines. src and dst are parent-comm ranks (see the package
+// hierCtx derives a hierarchical-collective record context. src and dst are parent-comm ranks (see the package
 // comment's nonce-safety invariant); tag disambiguates multiple records a
 // single operation seals under the same (src, dst) pair.
-func (e *Comm) hierCtx(op session.Op, src, dst, tag int) *session.RecordCtx {
-	if e.ceng == nil {
-		return nil
-	}
-	return &session.RecordCtx{Op: op, Src: src, Dst: dst, Tag: tag}
+func (e *Comm) hierCtx(op session.Op, src, dst, tag int) session.RecordCtx {
+	return session.RecordCtx{Op: op, Src: src, Dst: dst, Tag: tag}
 }
 
 // nodeRankOf translates parent-comm rank r into its node communicator's
@@ -271,7 +267,7 @@ func (e *Comm) HierBcast(root int, buf mpi.Buffer) (mpi.Buffer, error) {
 // hierBcastRun is the schedule shared by HierBcast and BcastPlan: the
 // callers differ only in whether the route constants and record context are
 // computed per call or pinned at plan init.
-func hierBcastRun(e *Comm, h *mpi.Hier, root, rootNode, nodeRoot int, ctx *session.RecordCtx, buf mpi.Buffer) (mpi.Buffer, error) {
+func hierBcastRun(e *Comm, h *mpi.Hier, root, rootNode, nodeRoot int, ctx session.RecordCtx, buf mpi.Buffer) (mpi.Buffer, error) {
 	if h.NodeIdx[e.Rank()] == rootNode {
 		if e.Rank() == root && h.IsLeader {
 			// The root doubles as its node's leader (the common case):

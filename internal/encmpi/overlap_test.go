@@ -9,6 +9,7 @@ import (
 	"encmpi/internal/mpi"
 	"encmpi/internal/obs"
 	"encmpi/internal/sched"
+	"encmpi/internal/session"
 	"encmpi/internal/transport/shm"
 )
 
@@ -122,4 +123,68 @@ func TestChunkedAllocRegression(t *testing.T) {
 		t.Errorf("chunked 1 MiB exchange: %.0f allocs, budget %d", allocs, budget)
 	}
 	t.Logf("chunked 1 MiB exchange: %.0f allocs", allocs)
+}
+
+// TestSessionPingPongAllocs pins the allocation cost of one 1 KiB session
+// ping-pong over the shm slot rings on a warm world — the merged
+// seal-into-slot / open-in-place path. Both records are sealed straight into
+// ring slots and opened from them, so what remains is protocol overhead
+// (requests, frames, completion closures); in particular deriving a record
+// context costs no allocation.
+func TestSessionPingPongAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are meaningless")
+	}
+	tr := shm.New()
+	w := mpi.NewWorld(2, tr, 64<<10)
+	tr.Bind(w)
+	var g sched.Group
+	encs := make([]*encmpi.Comm, 2)
+	for i := range encs {
+		encs[i] = encmpi.Wrap(w.AttachRank(i, g.Proc()), sessionEngine(t, session.Config{Key: testKey}, i, 2, nil))
+	}
+
+	payload := mpi.Bytes(patterned(1 << 10))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range start {
+			got, _, err := encs[1].Recv(0, 0)
+			if err != nil {
+				t.Error(err)
+			}
+			got.Release()
+			if err := encs[1].Send(0, 0, payload); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	round := func() {
+		start <- struct{}{}
+		if err := encs[0].Send(1, 0, payload); err != nil {
+			t.Error(err)
+		}
+		got, _, err := encs[0].Recv(1, 0)
+		if err != nil {
+			t.Error(err)
+		}
+		got.Release()
+	}
+	for i := 0; i < 3; i++ {
+		round() // warm the pools and the rings
+	}
+	allocs := testing.AllocsPerRun(100, round)
+	close(start)
+	wg.Wait()
+
+	// 22 is the count measured before the one-contract refactor, which paid
+	// four heap-allocated record contexts per round trip; by-value contexts
+	// measure 18. The rest is protocol overhead: requests, frames, closures.
+	const budget = 22
+	if allocs > budget {
+		t.Errorf("1 KiB session ping-pong: %.0f allocs, budget %d", allocs, budget)
+	}
+	t.Logf("1 KiB session ping-pong: %.0f allocs", allocs)
 }

@@ -3,13 +3,13 @@ package encmpi
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"encmpi/internal/aead"
 	"encmpi/internal/bufpool"
 	"encmpi/internal/cryptopool"
 	"encmpi/internal/mpi"
 	"encmpi/internal/sched"
+	"encmpi/internal/session"
 )
 
 // ParallelEngine is the real-crypto realization of the paper's §V-C
@@ -25,39 +25,20 @@ import (
 // goroutine fan-out: one large message parallelizes across its chunks, and
 // many concurrent small messages parallelize across their callers without
 // any spawn cost. Single-chunk messages are sealed inline — zero dispatch —
-// which is what makes the concurrent-small-message regime fast. The legacy
-// per-call fan-out survives behind SpawnPerCall as the ablation baseline.
+// which is what makes the concurrent-small-message regime fast.
 type ParallelEngine struct {
 	codec aead.Codec
 	nonce aead.NonceSource
 	// Workers is the parallelism grain: 1 forces fully inline sequential
 	// chunk processing; > 1 enables concurrent chunks (bounded by the shared
-	// pool's width on the pooled path, or by Workers itself on the legacy
-	// SpawnPerCall path, where it sizes the hoisted semaphore).
+	// pool's width).
 	Workers int
 	// Chunk is the plaintext bytes per chunk.
 	Chunk int
 
-	// NoPool disables the pooled wire/plaintext buffers, restoring the
-	// allocate-per-call behaviour. It exists for the allocation benchmarks'
-	// baseline; leave it false in production.
-	NoPool bool
-
-	// SpawnPerCall disables the shared cryptopool and restores the original
-	// per-call goroutine fan-out (one spawned goroutine per chunk, bounded
-	// by a Workers-slot semaphore). It exists as the A/B baseline for the
-	// worker-pool benchmarks; leave it false in production.
-	SpawnPerCall bool
-
 	// WorkPool overrides the crypto worker pool; nil means the process-wide
 	// cryptopool.Default(). Tests use private pools for isolation.
 	WorkPool *cryptopool.Pool
-
-	// semOnce/sem lazily build the legacy path's chunk-concurrency
-	// semaphore once per engine instead of once per call (the per-call
-	// make(chan) was pure allocator churn on the hot path).
-	semOnce sync.Once
-	sem     chan struct{}
 }
 
 // DefaultParallelChunk balances parallelism grain against per-chunk
@@ -79,10 +60,6 @@ func (e *ParallelEngine) Name() string {
 	return fmt.Sprintf("%s-par%d", e.codec.Name(), e.Workers)
 }
 
-// Overhead implements Engine. It reports the single-chunk overhead; actual
-// expansion is per chunk.
-func (e *ParallelEngine) Overhead() int { return aead.Overhead }
-
 // chunkSize returns the configured chunk size, defending against a zero or
 // negative Chunk (which would otherwise divide by zero in chunksOf).
 func (e *ParallelEngine) chunkSize() int {
@@ -101,42 +78,15 @@ func (e *ParallelEngine) chunksOf(n int) int {
 	return (n + chunk - 1) / chunk
 }
 
-// WireLen returns the on-wire size for an n-byte plaintext.
+// WireLen implements Engine: 28 bytes of expansion per chunk.
 func (e *ParallelEngine) WireLen(n int) int { return n + e.chunksOf(n)*aead.Overhead }
-
-// semaphore returns the legacy path's engine-lifetime chunk semaphore.
-func (e *ParallelEngine) semaphore() chan struct{} {
-	e.semOnce.Do(func() { e.sem = make(chan struct{}, e.Workers) })
-	return e.sem
-}
 
 // runChunks executes fn(0) … fn(chunks-1) under the engine's parallelism
 // policy. Single-chunk calls (and Workers == 1) run inline with no dispatch
-// at all; the legacy SpawnPerCall path spawns a goroutine per chunk bounded
-// by the hoisted semaphore; the default path hands chunks 1…n-1 to the
-// shared worker pool and runs chunk 0 on the caller — the caller is a
-// worker too, so a saturated pool degrades to caller-paced progress rather
-// than idle waiting.
+// at all; otherwise chunks 1…n-1 go to the shared worker pool and chunk 0
+// runs on the caller — the caller is a worker too, so a saturated pool
+// degrades to caller-paced progress rather than idle waiting.
 func (e *ParallelEngine) runChunks(chunks int, fn func(i int)) {
-	if e.SpawnPerCall {
-		// Legacy baseline: one spawned goroutine per chunk — even for a
-		// single chunk, as the pre-pool implementation did — bounded by the
-		// engine-lifetime semaphore.
-		sem := e.semaphore()
-		var wg sync.WaitGroup
-		for i := 0; i < chunks; i++ {
-			i := i
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				fn(i)
-			}()
-		}
-		wg.Wait()
-		return
-	}
 	if chunks == 1 || e.Workers == 1 {
 		for i := 0; i < chunks; i++ {
 			fn(i)
@@ -156,33 +106,31 @@ func (e *ParallelEngine) runChunks(chunks int, fn func(i int)) {
 	b.Wait()
 }
 
-// Seal implements Engine. The wire buffer (and the zeroed scratch for
-// synthetic inputs) is drawn from the buffer pool; the returned buffer
-// carries one lease reference owned by the caller.
-func (e *ParallelEngine) Seal(_ sched.Proc, plain mpi.Buffer) mpi.Buffer {
-	data := plain.Data
-	var scratch *bufpool.Lease
-	if plain.IsSynthetic() && plain.Len() > 0 {
-		if e.NoPool {
-			data = make([]byte, plain.Len())
-		} else {
-			scratch = bufpool.Get(plain.Len())
-			data = scratch.Bytes()[:plain.Len()]
-			clear(data) // pooled storage is dirty; the model is all-zeros
-		}
+// SealTo implements Engine. With a nil dst the wire buffer (and the zeroed
+// scratch for synthetic inputs) is drawn from the buffer pool; a dst takes
+// the whole chunked wire form or the seal is declined. The record context is
+// ignored: the chunks are context-free AES-GCM messages.
+func (e *ParallelEngine) SealTo(_ sched.Proc, dst []byte, plain mpi.Buffer, _ session.RecordCtx) (mpi.Buffer, bool) {
+	n := plain.Len()
+	wireLen := e.WireLen(n)
+	if dst != nil && (plain.IsSynthetic() || wireLen > len(dst)) {
+		return mpi.Buffer{}, false
 	}
-	n := len(data)
+	data := plain.Data
+	var scratch, lease *bufpool.Lease
+	if plain.IsSynthetic() && n > 0 {
+		scratch = bufpool.Get(n)
+		data = scratch.Bytes()[:n]
+		clear(data) // pooled storage is dirty; the model is all-zeros
+	}
 	chunk := e.chunkSize()
 	chunks := e.chunksOf(n)
-	wireLen := e.WireLen(n)
-	var lease *bufpool.Lease
-	var out []byte
-	if e.NoPool {
-		out = make([]byte, wireLen)
-	} else {
+	out := dst
+	if dst == nil {
 		lease = bufpool.Get(wireLen)
-		out = lease.Bytes()[:wireLen]
+		out = lease.Bytes()
 	}
+	out = out[:wireLen]
 
 	// Draw all nonces up front, serially, straight into each chunk's wire
 	// span (the source is serialized anyway — no point paying a per-chunk
@@ -210,14 +158,14 @@ func (e *ParallelEngine) Seal(_ sched.Proc, plain mpi.Buffer) mpi.Buffer {
 		e.codec.Seal(out[wlo+aead.NonceSize:wlo+aead.NonceSize:whi], nonce, data[lo:hi])
 	})
 	scratch.Release()
-	if lease == nil {
-		return mpi.Bytes(out)
+	if dst != nil {
+		return mpi.Bytes(out), true
 	}
-	return mpi.PooledBytes(lease, wireLen)
+	return mpi.PooledBytes(lease, wireLen), true
 }
 
-// Open implements Engine.
-func (e *ParallelEngine) Open(_ sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) {
+// OpenTo implements Engine.
+func (e *ParallelEngine) OpenTo(_ sched.Proc, dst []byte, wire mpi.Buffer, _ session.RecordCtx) (mpi.Buffer, error) {
 	if wire.IsSynthetic() {
 		return mpi.Buffer{}, fmt.Errorf("encmpi: parallel engine needs real bytes")
 	}
@@ -246,14 +194,15 @@ func (e *ParallelEngine) Open(_ sched.Proc, wire mpi.Buffer) (mpi.Buffer, error)
 			return mpi.Buffer{}, malformedf("parallel wire chunk %d spans [%d:%d) of a %d-byte wire", i, wlo, whi, len(w))
 		}
 	}
+	out := dst
 	var lease *bufpool.Lease
-	var out []byte
-	if e.NoPool {
-		out = make([]byte, n)
-	} else {
+	if dst == nil {
 		lease = bufpool.Get(n)
-		out = lease.Bytes()[:n]
+		out = lease.Bytes()
+	} else if n > len(dst) {
+		return mpi.Buffer{}, errDstShort(len(dst), n)
 	}
+	out = out[:n]
 
 	errs := make([]error, chunks)
 	e.runChunks(chunks, func(i int) {
@@ -277,10 +226,21 @@ func (e *ParallelEngine) Open(_ sched.Proc, wire mpi.Buffer) (mpi.Buffer, error)
 			return mpi.Buffer{}, err
 		}
 	}
-	if lease == nil {
+	if dst != nil {
 		return mpi.Bytes(out), nil
 	}
 	return mpi.PooledBytes(lease, n), nil
+}
+
+// Seal implements Engine.
+func (e *ParallelEngine) Seal(p sched.Proc, plain mpi.Buffer) mpi.Buffer {
+	wire, _ := e.SealTo(p, nil, plain, session.RecordCtx{})
+	return wire
+}
+
+// Open implements Engine.
+func (e *ParallelEngine) Open(p sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) {
+	return e.OpenTo(p, nil, wire, session.RecordCtx{})
 }
 
 // plainLen inverts WireLen. Any wire length that no plaintext length maps
@@ -305,5 +265,3 @@ func (e *ParallelEngine) plainLen(wireLen int) (int, error) {
 	}
 	return n, nil
 }
-
-var _ Engine = (*ParallelEngine)(nil)

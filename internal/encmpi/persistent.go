@@ -29,7 +29,7 @@ type BcastPlan struct {
 	e    *Comm
 	root int
 	h    *mpi.Hier // nil: flat schedule
-	ctx  *session.RecordCtx
+	ctx  session.RecordCtx
 
 	// Hier-schedule constants, valid when h != nil.
 	rootNode int // dense node index of root
@@ -103,7 +103,7 @@ func (p *BcastPlan) run(buf mpi.Buffer) (mpi.Buffer, error) {
 type arHop struct {
 	peer int
 	tag  int
-	ctx  *session.RecordCtx
+	ctx  session.RecordCtx
 }
 
 // AllreducePlan is a persistent allreduce: datatype, operator, the two-level
@@ -119,7 +119,7 @@ type AllreducePlan struct {
 	// reduce root (Leaders rank 0); recvs lists hops in execution order.
 	send     *arHop
 	recvs    []arHop
-	finalCtx *session.RecordCtx
+	finalCtx session.RecordCtx
 
 	// initErr pins a failure detected at init time (an unsupported hear
 	// (datatype, op) pair or a failed key ceremony); every cycle returns it.

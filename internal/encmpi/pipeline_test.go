@@ -1,7 +1,6 @@
 package encmpi_test
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -13,55 +12,26 @@ import (
 	"encmpi/internal/simnet"
 )
 
-// TestPipelinedRoundTripReal moves real data in chunks with real crypto and
-// checks byte-exact reassembly, including the exact-multiple edge case.
-func TestPipelinedRoundTripReal(t *testing.T) {
-	for _, n := range []int{0, 1, 1000, 4096, 8192, 10000} {
-		n := n
-		payload := bytes.Repeat([]byte{0xAD}, n)
-		for i := range payload {
-			payload[i] = byte(i * 31)
-		}
-		runEncrypted(t, 2, "aesstd", func(e *encmpi.Comm) {
-			const chunk = 4096
-			switch e.Rank() {
-			case 0:
-				if err := e.SendPipelined(1, 5, mpi.Bytes(payload), chunk); err != nil {
-					t.Errorf("n=%d: send: %v", n, err)
-				}
-			case 1:
-				got, err := e.RecvPipelined(0, 5, chunk)
-				if err != nil {
-					t.Errorf("n=%d: %v", n, err)
-					return
-				}
-				if !bytes.Equal(got.Data, payload) {
-					t.Errorf("n=%d: payload mismatch", n)
-				}
-			}
-		})
-	}
-}
-
-// TestPipelinedSynthetic checks length-only payloads survive the pipeline.
-func TestPipelinedSynthetic(t *testing.T) {
+// TestChunkedSynthetic checks length-only payloads survive the transparent
+// chunked path: the sink's synthetic arm counts lengths, never bytes.
+func TestChunkedSynthetic(t *testing.T) {
 	spec := cluster.PaperTestbed(2, 2)
 	_, err := job.RunSim(spec, simnet.Eth10G(), func(c *mpi.Comm) {
 		e := encmpi.Wrap(c, encmpi.NullEngine{})
-		const n = 1 << 20
+		const n = 1 << 20 // above the default threshold: 8 chunks
 		switch c.Rank() {
 		case 0:
-			if err := e.SendPipelined(1, 0, mpi.Synthetic(n), 0); err != nil { // default chunk
+			if err := e.Send(1, 0, mpi.Synthetic(n)); err != nil {
 				t.Error(err)
 			}
 		case 1:
-			got, err := e.RecvPipelined(0, 0, 0)
+			got, _, err := e.Recv(0, 0)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if got.Len() != n {
-				t.Errorf("got %d bytes", got.Len())
+			if !got.IsSynthetic() || got.Len() != n {
+				t.Errorf("got %d bytes (synthetic %v)", got.Len(), got.IsSynthetic())
 			}
 		}
 	})
@@ -84,36 +54,26 @@ func TestPipelinedOverlapBeatsMonolithic(t *testing.T) {
 		spec := cluster.PaperTestbed(2, 2)
 		var elapsed time.Duration
 		_, err := job.RunSim(spec, simnet.IB40G(), func(c *mpi.Comm) {
-			// Transparent chunking off: the ablation compares the explicit
-			// SendPipelined overlap against a genuinely monolithic transfer
-			// (with it on, plain Send overlaps too and the contrast vanishes).
-			e := encmpi.Wrap(c, encmpi.NewModelEngine(p), encmpi.WithPipeline(-1, 0))
+			// The ablation compares the chunked overlap against a genuinely
+			// monolithic transfer: chunking off versus 256 KiB chunks.
+			opt := encmpi.WithPipeline(-1, 0)
+			if pipelined {
+				opt = encmpi.WithPipeline(0, 256<<10)
+			}
+			e := encmpi.Wrap(c, encmpi.NewModelEngine(p), opt)
 			switch c.Rank() {
 			case 0:
 				start := c.Proc().Now()
-				if pipelined {
-					if err := e.SendPipelined(1, 0, mpi.Synthetic(size), 256<<10); err != nil {
-						panic(err)
-					}
-					if _, _, err := e.Recv(1, 9); err != nil {
-						panic(err)
-					}
-				} else {
-					e.Send(1, 0, mpi.Synthetic(size))
-					if _, _, err := e.Recv(1, 9); err != nil {
-						panic(err)
-					}
+				if err := e.Send(1, 0, mpi.Synthetic(size)); err != nil {
+					panic(err)
+				}
+				if _, _, err := e.Recv(1, 9); err != nil {
+					panic(err)
 				}
 				elapsed = c.Proc().Now() - start
 			case 1:
-				if pipelined {
-					if _, err := e.RecvPipelined(0, 0, 256<<10); err != nil {
-						panic(err)
-					}
-				} else {
-					if _, _, err := e.Recv(0, 0); err != nil {
-						panic(err)
-					}
+				if _, _, err := e.Recv(0, 0); err != nil {
+					panic(err)
 				}
 				e.Send(0, 9, mpi.Synthetic(1))
 			}

@@ -34,10 +34,6 @@ type EngineSpec struct {
 	// GOMAXPROCS workers and the default 128 KiB chunk).
 	Workers int
 	Chunk   int
-	// SpawnPerCall opts the parallel kind out of the shared crypto worker
-	// pool, restoring per-call goroutine fan-out (the A/B baseline the
-	// worker-pool benchmarks compare against).
-	SpawnPerCall bool
 
 	// Library, Variant, and KeyBits configure the model kind ("boringssl",
 	// "openssl", "libsodium", "cryptopp"; "gcc485" or "mvapich"; 128/256).
@@ -46,9 +42,6 @@ type EngineSpec struct {
 	Variant string
 	KeyBits int
 	Threads int
-
-	// ReplayGuard wraps the engine with per-peer replay detection.
-	ReplayGuard bool
 
 	// HearSeedSpace bounds the per-rank seed keys of the hear kind
 	// (0 means hear.DefaultSeedSpace). The hear kind also reads Workers and
@@ -79,7 +72,6 @@ func NewEngine(spec EngineSpec) (Engine, error) {
 		if spec.Chunk > 0 {
 			pe.Chunk = spec.Chunk
 		}
-		pe.SpawnPerCall = spec.SpawnPerCall
 		eng = pe
 	case "model":
 		p, err := costmodel.Lookup(spec.Library, costmodel.Variant(spec.Variant), spec.KeyBits)
@@ -93,8 +85,7 @@ func NewEngine(spec EngineSpec) (Engine, error) {
 		eng = me
 	case "hear":
 		// The inner engine protects the ceremony and all non-reduction
-		// routines; any ReplayGuard wraps it (the hear wrapper itself must
-		// stay the outermost type for Wrap to detect).
+		// routines.
 		inner := spec
 		switch {
 		case spec.Library != "":
@@ -109,7 +100,7 @@ func NewEngine(spec EngineSpec) (Engine, error) {
 			return nil, fmt.Errorf("encmpi: hear inner engine: %w", err)
 		}
 		return &HearEngine{
-			Inner: ie,
+			Engine: ie,
 			Params: hear.Params{
 				SeedSpace: uint64(spec.HearSeedSpace),
 				Workers:   spec.Workers,
@@ -118,9 +109,6 @@ func NewEngine(spec EngineSpec) (Engine, error) {
 		}, nil
 	default:
 		return nil, fmt.Errorf("encmpi: unknown engine kind %q (want null, real, parallel, model, or hear)", spec.Kind)
-	}
-	if spec.ReplayGuard {
-		eng = NewReplayGuard(eng)
 	}
 	return eng, nil
 }

@@ -208,7 +208,7 @@ const (
 )
 
 // bcastPipeTag is the user-context tag base the pipelined-broadcast
-// benchmark runs on (chunk tags stride upward from it, as in SendPipelined).
+// benchmark runs on (chunk tags stride upward from it).
 const bcastPipeTag = 11
 
 // CollectiveResult reports the mean per-invocation latency.

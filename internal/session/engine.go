@@ -1,7 +1,7 @@
-// engine.go adapts a Session to the encrypted MPI layer's engine shape:
-// Name/Overhead/Seal/Open/OpenInto mirror encmpi.Engine structurally (this
-// package cannot import encmpi — encmpi imports it for RecordCtx), plus the
-// context-taking variants the communicator uses to bind records.
+// engine.go adapts a Session to the encrypted MPI layer's engine contract:
+// Name/WireLen/SealTo/OpenTo plus the Seal/Open shorthands mirror
+// encmpi.Engine structurally (this package cannot import encmpi — encmpi
+// imports it for RecordCtx).
 package session
 
 import (
@@ -31,171 +31,132 @@ func (s *Session) Engine() *Engine { return &Engine{s: s} }
 // Session returns the session this engine seals for.
 func (e *Engine) Session() *Session { return e.s }
 
-// Name implements the engine Name contract.
+// Name implements the engine contract.
 func (e *Engine) Name() string { return "session(" + e.s.name + ")" }
 
-// Overhead implements the engine Overhead contract.
-func (e *Engine) Overhead() int { return aead.Overhead }
+// WireLen implements the engine contract.
+func (e *Engine) WireLen(n int) int { return aead.WireLen(n) }
 
 // Seal seals without communicator context (OpRaw): the record is still bound
 // to (session id, epoch, sealer rank, seq), just not to a routing decision.
 func (e *Engine) Seal(proc sched.Proc, plain mpi.Buffer) mpi.Buffer {
-	return e.SealCtx(proc, plain, nil)
+	wire, _ := e.SealTo(proc, nil, plain, RecordCtx{})
+	return wire
 }
 
 // Open opens a context-free record. The sealer's rank is read from the
 // nonce; everything else the AAD binds is reconstructed as OpRaw.
 func (e *Engine) Open(proc sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) {
-	return e.OpenCtx(proc, wire, nil)
+	return e.OpenTo(proc, nil, wire, RecordCtx{})
 }
 
-// OpenInto opens a context-free record directly into dst.
-func (e *Engine) OpenInto(proc sched.Proc, dst []byte, wire mpi.Buffer) (int, error) {
-	return e.OpenIntoCtx(proc, dst, wire, nil)
-}
-
-// SealCtx seals plain with its communication context authenticated into the
+// SealTo seals plain with its communication context authenticated into the
 // AAD. ctx.Src must be the sealing endpoint's communicator rank (it becomes
 // the nonce's source field, which is what keeps the shared per-epoch key
-// nonce-safe across ranks). Synthetic buffers are materialized as zeros,
-// exactly like RealEngine: real cryptography needs real bytes.
-func (e *Engine) SealCtx(_ sched.Proc, plain mpi.Buffer, ctx *RecordCtx) mpi.Buffer {
+// nonce-safe across ranks); the zero ctx is the context-free OpRaw record.
+//
+// With a nil dst the wire buffer is pooled and synthetic buffers are
+// materialized as zeros, exactly like RealEngine: real cryptography needs
+// real bytes. With a dst — the shm ring's transport slot — the record lands
+// there or the seal is declined (synthetic plaintext, a too-small dst, or a
+// codec that outgrew dst): dst's contents are then undefined, nothing was
+// accounted, and the sequence number consumed on the overgrowth path simply
+// leaves a gap the replay window tolerates.
+func (e *Engine) SealTo(_ sched.Proc, dst []byte, plain mpi.Buffer, ctx RecordCtx) (mpi.Buffer, bool) {
+	if dst != nil && (plain.IsSynthetic() || aead.WireLen(plain.Len()) > len(dst)) {
+		return mpi.Buffer{}, false
+	}
 	s := e.s
 	ep, src := s.sealState()
-	var raw RecordCtx
-	if ctx == nil {
-		raw = RecordCtx{Op: OpRaw, Src: src, Dst: Wildcard}
-		ctx = &raw
+	if ctx.Op == OpRaw {
+		ctx = RecordCtx{Op: OpRaw, Src: src, Dst: Wildcard}
 	}
 	data := plain.Data
-	var scratch *bufpool.Lease
+	var scratch, lease *bufpool.Lease
 	if plain.IsSynthetic() && plain.Len() > 0 {
 		scratch = bufpool.Get(plain.Len())
 		data = scratch.Bytes()[:plain.Len()]
 		clear(data) // pooled storage is dirty; the model is all-zeros
 	}
-	seq := ep.seq.Add(1)
-	var ab [aadLen]byte
-	aadB := appendAAD(ab[:0], s.id, ep.n, seq, ctx)
-	lease := bufpool.Get(aead.WireLen(len(data)))
-	wire := lease.Bytes()[:aead.NonceSize]
-	putNonce(wire, ctx.Src, ep.n, seq)
-	// SealAAD appends ciphertext ‖ tag in place: the lease's capacity covers
-	// the full wire length, so no reallocation happens for tag-exact codecs.
-	wire = ep.codec.SealAAD(wire, wire[:aead.NonceSize], data, aadB)
-	scratch.Release()
-	s.scope.Sealed()
-	return mpi.BytesWithLease(wire, lease)
-}
-
-// SealIntoCtx is SealCtx sealing directly into dst — the transport-slot fast
-// path of the shm ring. dst must be sized for the wire form; the wire length
-// is returned. ok=false means the record could not land in place (synthetic
-// plaintext, a too-small dst, or a codec that outgrew dst) and the caller
-// must fall back to SealCtx; dst's contents are then undefined, nothing was
-// accounted, and the sequence number consumed on the overgrowth path simply
-// leaves a gap the replay window tolerates.
-func (e *Engine) SealIntoCtx(_ sched.Proc, dst []byte, plain mpi.Buffer, ctx *RecordCtx) (int, bool) {
-	if plain.IsSynthetic() || aead.WireLen(plain.Len()) > len(dst) {
-		return 0, false
-	}
-	s := e.s
-	ep, src := s.sealState()
-	var raw RecordCtx
-	if ctx == nil {
-		raw = RecordCtx{Op: OpRaw, Src: src, Dst: Wildcard}
-		ctx = &raw
+	out := dst
+	if dst == nil {
+		lease = bufpool.Get(aead.WireLen(len(data)))
+		out = lease.Bytes()
 	}
 	seq := ep.seq.Add(1)
 	var ab [aadLen]byte
-	aadB := appendAAD(ab[:0], s.id, ep.n, seq, ctx)
-	nb := dst[:aead.NonceSize]
+	aadB := appendAAD(ab[:0], s.id, ep.n, seq, &ctx)
+	nb := out[:aead.NonceSize]
 	putNonce(nb, ctx.Src, ep.n, seq)
-	wire := ep.codec.SealAAD(nb, nb, plain.Data, aadB)
-	if len(wire) > len(dst) || (len(wire) > 0 && &wire[0] != &dst[0]) {
-		return 0, false
+	// SealAAD appends ciphertext ‖ tag in place: out's capacity covers the
+	// full wire length, so no reallocation happens for tag-exact codecs.
+	wire := ep.codec.SealAAD(nb, nb, data, aadB)
+	scratch.Release()
+	if dst != nil && (len(wire) > len(dst) || &wire[0] != &dst[0]) {
+		return mpi.Buffer{}, false
 	}
 	s.scope.Sealed()
-	return len(wire), true
+	if dst == nil {
+		return mpi.BytesWithLease(wire, lease), true
+	}
+	return mpi.Bytes(wire), true
 }
 
-// OpenCtx authenticates and decrypts a record against the context the
+// OpenTo authenticates and decrypts a record against the context the
 // receiver derived for it. Any mismatch — wrong session, wrong epoch key,
 // swapped src/dst, spliced chunk index, replayed seq — fails exactly like a
-// forged tag.
-func (e *Engine) OpenCtx(_ sched.Proc, wire mpi.Buffer, ctx *RecordCtx) (mpi.Buffer, error) {
-	var ab [aadLen]byte
-	ep, aadB, src, seq, n, err := e.openPrep(wire, ctx, &ab)
-	if err != nil {
-		return mpi.Buffer{}, e.reject(err)
-	}
-	lease := bufpool.Get(n)
-	plain, err := ep.codec.OpenAAD(lease.Bytes()[:0], wire.Data[:aead.NonceSize], wire.Data[aead.NonceSize:], aadB)
-	if err != nil {
-		lease.Release()
-		return mpi.Buffer{}, e.reject(err)
-	}
-	if !ep.admit(src, seq) {
-		lease.Release()
-		return mpi.Buffer{}, e.reject(ErrReplay)
-	}
-	e.s.scope.Opened()
-	return mpi.BytesWithLease(plain, lease), nil
-}
-
-// OpenIntoCtx is OpenCtx decrypting straight into dst (the chunked receive
-// fast path). dst must be sized for the plaintext.
-func (e *Engine) OpenIntoCtx(_ sched.Proc, dst []byte, wire mpi.Buffer, ctx *RecordCtx) (int, error) {
-	var ab [aadLen]byte
-	ep, aadB, src, seq, n, err := e.openPrep(wire, ctx, &ab)
-	if err != nil {
-		return 0, e.reject(err)
-	}
-	if n > len(dst) {
-		return 0, fmt.Errorf("session: OpenInto destination holds %d bytes, plaintext is %d", len(dst), n)
-	}
-	plain, err := ep.codec.OpenAAD(dst[:0], wire.Data[:aead.NonceSize], wire.Data[aead.NonceSize:], aadB)
-	if err != nil {
-		return 0, e.reject(err)
-	}
-	if !ep.admit(src, seq) {
-		return 0, e.reject(ErrReplay)
-	}
-	if len(plain) > 0 && &plain[0] != &dst[0] {
-		copy(dst, plain)
-	}
-	e.s.scope.Opened()
-	return len(plain), nil
-}
-
-// openPrep runs the shared open prologue: structural validation, nonce
-// parsing, the cheap pre-cipher source check, epoch resolution, and AAD
-// reconstruction.
-func (e *Engine) openPrep(wire mpi.Buffer, ctx *RecordCtx, ab *[aadLen]byte) (*epoch, []byte, int, uint64, int, error) {
+// forged tag. The plaintext is pooled under a nil dst and lands in dst
+// otherwise (the chunked receive's message assembly); a dst that cannot hold
+// it fails before the cipher runs, leaving the replay window untouched.
+func (e *Engine) OpenTo(_ sched.Proc, dst []byte, wire mpi.Buffer, ctx RecordCtx) (mpi.Buffer, error) {
 	s := e.s
 	if wire.IsSynthetic() {
-		return nil, nil, 0, 0, 0, errors.New("session: cannot decrypt a synthetic buffer")
+		return mpi.Buffer{}, errors.New("session: cannot decrypt a synthetic buffer")
 	}
 	n, err := aead.PlainLen(wire.Len())
 	if err != nil {
-		return nil, nil, 0, 0, 0, err
+		return mpi.Buffer{}, err
+	}
+	if dst != nil && n > len(dst) {
+		return mpi.Buffer{}, fmt.Errorf("session: open destination holds %d bytes, plaintext is %d", len(dst), n)
 	}
 	src, epn, seq := parseNonce(wire.Data)
-	var raw RecordCtx
-	if ctx == nil {
-		raw = RecordCtx{Op: OpRaw, Src: src, Dst: Wildcard}
-		ctx = &raw
+	if ctx.Op == OpRaw {
+		ctx = RecordCtx{Op: OpRaw, Src: src, Dst: Wildcard}
 	} else if ctx.Src != src {
 		// Reflected or re-addressed records announce themselves here: the
 		// nonce says who sealed, the receiver knows who it matched from.
 		// The AAD would reject them anyway; failing early skips the cipher.
-		return nil, nil, 0, 0, 0, fmt.Errorf("session: record sealed by rank %d, matched from rank %d: %w", src, ctx.Src, aead.ErrAuth)
+		return mpi.Buffer{}, e.reject(fmt.Errorf("session: record sealed by rank %d, matched from rank %d: %w", src, ctx.Src, aead.ErrAuth))
 	}
 	ep, err := s.epochForOpen(epn)
 	if err != nil {
-		return nil, nil, 0, 0, 0, err
+		return mpi.Buffer{}, e.reject(err)
 	}
-	return ep, appendAAD(ab[:0], s.id, ep.n, seq, ctx), src, seq, n, nil
+	var ab [aadLen]byte
+	aadB := appendAAD(ab[:0], s.id, ep.n, seq, &ctx)
+	out := dst
+	var lease *bufpool.Lease
+	if dst == nil {
+		lease = bufpool.Get(n)
+		out = lease.Bytes()
+	}
+	plain, err := ep.codec.OpenAAD(out[:0], wire.Data[:aead.NonceSize], wire.Data[aead.NonceSize:], aadB)
+	if err == nil && !ep.admit(src, seq) {
+		err = ErrReplay
+	}
+	if err != nil {
+		lease.Release()
+		return mpi.Buffer{}, e.reject(err)
+	}
+	s.scope.Opened()
+	if dst == nil {
+		return mpi.BytesWithLease(plain, lease), nil
+	}
+	if len(plain) > 0 && &plain[0] != &dst[0] {
+		copy(dst, plain)
+	}
+	return mpi.Bytes(dst[:len(plain)]), nil
 }
 
 // reject classifies an open failure into the session counters. Replay and

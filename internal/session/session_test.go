@@ -25,29 +25,40 @@ func newTestSession(t testing.TB, cfg Config) *Session {
 	return s
 }
 
+// sealCtx and openCtx are the pooled (nil-destination) forms of the engine
+// contract's two calls.
+func sealCtx(e *Engine, plain mpi.Buffer, ctx *RecordCtx) mpi.Buffer {
+	wire, _ := e.SealTo(nil, nil, plain, *ctx)
+	return wire
+}
+
+func openCtx(e *Engine, wire mpi.Buffer, ctx *RecordCtx) (mpi.Buffer, error) {
+	return e.OpenTo(nil, nil, wire, *ctx)
+}
+
 func TestSealOpenRoundtrip(t *testing.T) {
 	s := newTestSession(t, Config{Key: testKey(1)})
 	e := s.Engine()
 	ctx := &RecordCtx{Op: OpP2P, Src: 0, Dst: 3, Tag: 7}
 	msg := []byte("bound to its context")
-	wire := e.SealCtx(nil, mpi.Bytes(msg), ctx)
+	wire := sealCtx(e, mpi.Bytes(msg), ctx)
 	if wire.Len() != len(msg)+aead.Overhead {
 		t.Fatalf("wire length %d, want %d", wire.Len(), len(msg)+aead.Overhead)
 	}
-	got, err := e.OpenCtx(nil, wire, &RecordCtx{Op: OpP2P, Src: 0, Dst: 3, Tag: 7})
+	got, err := openCtx(e, wire, &RecordCtx{Op: OpP2P, Src: 0, Dst: 3, Tag: 7})
 	if err != nil {
-		t.Fatalf("OpenCtx: %v", err)
+		t.Fatalf("OpenTo: %v", err)
 	}
 	if !bytes.Equal(got.Data, msg) {
 		t.Fatalf("plaintext mismatch: %q", got.Data)
 	}
 
-	// OpenInto path, fresh record (the first is now in the replay window).
-	wire2 := e.SealCtx(nil, mpi.Bytes(msg), ctx)
+	// In-place path, fresh record (the first is now in the replay window).
+	wire2 := sealCtx(e, mpi.Bytes(msg), ctx)
 	dst := make([]byte, len(msg))
-	n, err := e.OpenIntoCtx(nil, dst, wire2, ctx)
-	if err != nil || n != len(msg) || !bytes.Equal(dst, msg) {
-		t.Fatalf("OpenIntoCtx: n=%d err=%v dst=%q", n, err, dst)
+	into, err := e.OpenTo(nil, dst, wire2, *ctx)
+	if err != nil || into.Len() != len(msg) || !bytes.Equal(dst, msg) {
+		t.Fatalf("OpenTo(dst): n=%d err=%v dst=%q", into.Len(), err, dst)
 	}
 }
 
@@ -68,15 +79,15 @@ func TestContextMismatchRejects(t *testing.T) {
 	}
 	for name, mutate := range mutations {
 		ctx := base
-		wire := e.SealCtx(nil, mpi.Bytes([]byte("payload")), &ctx)
+		wire := sealCtx(e, mpi.Bytes([]byte("payload")), &ctx)
 		bad := base
 		mutate(&bad)
-		if _, err := e.OpenCtx(nil, wire, &bad); !errors.Is(err, aead.ErrAuth) {
+		if _, err := openCtx(e, wire, &bad); !errors.Is(err, aead.ErrAuth) {
 			t.Errorf("%s mismatch: got %v, want auth failure", name, err)
 		}
 		// The honest context still opens: the rejection above must not have
 		// advanced the replay window.
-		if _, err := e.OpenCtx(nil, wire, &ctx); err != nil {
+		if _, err := openCtx(e, wire, &ctx); err != nil {
 			t.Errorf("%s: honest open after rejected mismatch: %v", name, err)
 		}
 	}
@@ -86,8 +97,8 @@ func TestCrossSessionSpliceRejected(t *testing.T) {
 	a := newTestSession(t, Config{Key: testKey(3)})
 	b := newTestSession(t, Config{Key: testKey(4)})
 	ctx := RecordCtx{Op: OpP2P, Src: 0, Dst: 1, Tag: 0}
-	wire := a.Engine().SealCtx(nil, mpi.Bytes([]byte("session A")), &ctx)
-	if _, err := b.Engine().OpenCtx(nil, wire, &ctx); !errors.Is(err, aead.ErrAuth) {
+	wire := sealCtx(a.Engine(), mpi.Bytes([]byte("session A")), &ctx)
+	if _, err := openCtx(b.Engine(), wire, &ctx); !errors.Is(err, aead.ErrAuth) {
 		t.Fatalf("cross-session open: got %v, want auth failure", err)
 	}
 }
@@ -96,11 +107,11 @@ func TestReplayRejected(t *testing.T) {
 	s := newTestSession(t, Config{Key: testKey(5)})
 	e := s.Engine()
 	ctx := RecordCtx{Op: OpP2P, Src: 0, Dst: 1}
-	wire := e.SealCtx(nil, mpi.Bytes([]byte("once")), &ctx)
-	if _, err := e.OpenCtx(nil, wire, &ctx); err != nil {
+	wire := sealCtx(e, mpi.Bytes([]byte("once")), &ctx)
+	if _, err := openCtx(e, wire, &ctx); err != nil {
 		t.Fatalf("first open: %v", err)
 	}
-	_, err := e.OpenCtx(nil, wire, &ctx)
+	_, err := openCtx(e, wire, &ctx)
 	if !errors.Is(err, ErrReplay) || !errors.Is(err, aead.ErrAuth) {
 		t.Fatalf("second open: got %v, want ErrReplay wrapping ErrAuth", err)
 	}
@@ -112,7 +123,7 @@ func TestRekeyGraceThenStale(t *testing.T) {
 	s := newTestSession(t, Config{Key: testKey(6), Grace: 50 * time.Millisecond})
 	e := s.Engine()
 	ctx := RecordCtx{Op: OpP2P, Src: 0, Dst: 1}
-	inflight := e.SealCtx(nil, mpi.Bytes([]byte("epoch 0, in flight")), &ctx)
+	inflight := sealCtx(e, mpi.Bytes([]byte("epoch 0, in flight")), &ctx)
 
 	if err := s.Rekey(); err != nil {
 		t.Fatalf("Rekey: %v", err)
@@ -121,27 +132,27 @@ func TestRekeyGraceThenStale(t *testing.T) {
 		t.Fatalf("Epoch after rekey = %d, want 1", s.Epoch())
 	}
 	// In-flight epoch-0 traffic drains inside grace.
-	if _, err := e.OpenCtx(nil, inflight, &ctx); err != nil {
+	if _, err := openCtx(e, inflight, &ctx); err != nil {
 		t.Fatalf("open in-flight epoch-0 record inside grace: %v", err)
 	}
 	// New seals use epoch 1 and open fine.
-	w1 := e.SealCtx(nil, mpi.Bytes([]byte("epoch 1")), &ctx)
+	w1 := sealCtx(e, mpi.Bytes([]byte("epoch 1")), &ctx)
 	if _, e0, _ := parseNonce(w1.Data); e0 != 1 {
 		t.Fatalf("new record sealed under epoch %d, want 1", e0)
 	}
-	if _, err := e.OpenCtx(nil, w1, &ctx); err != nil {
+	if _, err := openCtx(e, w1, &ctx); err != nil {
 		t.Fatalf("open epoch-1 record: %v", err)
 	}
 
 	// Past grace, epoch-0 records reject hard (fresh session so the record
 	// is neither a replay nor already pruned).
 	s2 := newTestSession(t, Config{Key: testKey(6), Grace: 50 * time.Millisecond})
-	old := s2.Engine().SealCtx(nil, mpi.Bytes([]byte("will go stale")), &ctx)
+	old := sealCtx(s2.Engine(), mpi.Bytes([]byte("will go stale")), &ctx)
 	if err := s2.Rekey(); err != nil {
 		t.Fatalf("Rekey: %v", err)
 	}
 	time.Sleep(80 * time.Millisecond)
-	_, err := s2.Engine().OpenCtx(nil, old, &ctx)
+	_, err := openCtx(s2.Engine(), old, &ctx)
 	if !errors.Is(err, ErrStaleEpoch) || !errors.Is(err, aead.ErrAuth) {
 		t.Fatalf("open past grace: got %v, want ErrStaleEpoch wrapping ErrAuth", err)
 	}
@@ -151,11 +162,11 @@ func TestNoGraceRejectsImmediately(t *testing.T) {
 	s := newTestSession(t, Config{Key: testKey(7), Grace: -1})
 	e := s.Engine()
 	ctx := RecordCtx{Op: OpP2P, Src: 0, Dst: 1}
-	wire := e.SealCtx(nil, mpi.Bytes([]byte("no grace")), &ctx)
+	wire := sealCtx(e, mpi.Bytes([]byte("no grace")), &ctx)
 	if err := s.Rekey(); err != nil {
 		t.Fatalf("Rekey: %v", err)
 	}
-	if _, err := e.OpenCtx(nil, wire, &ctx); !errors.Is(err, ErrStaleEpoch) {
+	if _, err := openCtx(e, wire, &ctx); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("open with no grace: got %v, want ErrStaleEpoch", err)
 	}
 }
@@ -171,9 +182,9 @@ func TestAheadEpochPromotion(t *testing.T) {
 		t.Fatalf("peer Rekey: %v", err)
 	}
 	ctx := RecordCtx{Op: OpP2P, Src: 0, Dst: 1}
-	wire := peer.Engine().SealCtx(nil, mpi.Bytes([]byte("from the future")), &ctx)
+	wire := sealCtx(peer.Engine(), mpi.Bytes([]byte("from the future")), &ctx)
 
-	if _, err := local.Engine().OpenCtx(nil, wire, &ctx); err != nil {
+	if _, err := openCtx(local.Engine(), wire, &ctx); err != nil {
 		t.Fatalf("open ahead-epoch record: %v", err)
 	}
 	if local.Epoch() != 0 {
@@ -184,7 +195,7 @@ func TestAheadEpochPromotion(t *testing.T) {
 	if err := local.Rekey(); err != nil {
 		t.Fatalf("local Rekey: %v", err)
 	}
-	if _, err := local.Engine().OpenCtx(nil, wire, &ctx); !errors.Is(err, ErrReplay) {
+	if _, err := openCtx(local.Engine(), wire, &ctx); !errors.Is(err, ErrReplay) {
 		t.Fatalf("replay across promotion: got %v, want ErrReplay", err)
 	}
 }
@@ -201,8 +212,8 @@ func TestEpochAheadBound(t *testing.T) {
 		}
 	}
 	ctx := RecordCtx{Op: OpP2P, Src: 0, Dst: 1}
-	wire := peer.Engine().SealCtx(nil, mpi.Bytes([]byte("too far")), &ctx)
-	if _, err := local.Engine().OpenCtx(nil, wire, &ctx); !errors.Is(err, aead.ErrAuth) {
+	wire := sealCtx(peer.Engine(), mpi.Bytes([]byte("too far")), &ctx)
+	if _, err := openCtx(local.Engine(), wire, &ctx); !errors.Is(err, aead.ErrAuth) {
 		t.Fatalf("open %d epochs ahead: got %v, want auth failure", maxEpochAhead+1, err)
 	}
 }
@@ -220,8 +231,8 @@ func TestDeterministicDerivation(t *testing.T) {
 		t.Fatalf("lanes disagree (or legacy): %d vs %d", a.Lane(), b.Lane())
 	}
 	ctx := RecordCtx{Op: OpAlltoall, Src: 2, Dst: 5, Tag: 1}
-	wire := a.Engine().SealCtx(nil, mpi.Bytes([]byte("derived twice")), &ctx)
-	if _, err := b.Engine().OpenCtx(nil, wire, &ctx); err != nil {
+	wire := sealCtx(a.Engine(), mpi.Bytes([]byte("derived twice")), &ctx)
+	if _, err := openCtx(b.Engine(), wire, &ctx); err != nil {
 		t.Fatalf("peer open: %v", err)
 	}
 
@@ -259,9 +270,9 @@ func TestAutoRekey(t *testing.T) {
 	s := newTestSession(t, Config{Key: testKey(14), RekeyEvery: 10 * time.Millisecond})
 	e := s.Engine()
 	ctx := RecordCtx{Op: OpP2P, Src: 0, Dst: 1}
-	e.SealCtx(nil, mpi.Bytes([]byte("epoch 0")), &ctx).Release()
+	sealCtx(e, mpi.Bytes([]byte("epoch 0")), &ctx).Release()
 	time.Sleep(25 * time.Millisecond)
-	w := e.SealCtx(nil, mpi.Bytes([]byte("rolled")), &ctx)
+	w := sealCtx(e, mpi.Bytes([]byte("rolled")), &ctx)
 	if _, ep, _ := parseNonce(w.Data); ep == 0 {
 		t.Fatal("seal after RekeyEvery elapsed still used epoch 0")
 	}
@@ -321,21 +332,23 @@ func FuzzSessionAAD(f *testing.F) {
 		}
 		e := s.Engine()
 		ctx := RecordCtx{
-			Op:     Op(op % 6),
+			// A routine-bound class: OpRaw is the context-free form, whose
+			// other fields are ignored rather than authenticated.
+			Op:     Op(1 + op%5),
 			Src:    0, // sealState pins the nonce source to the session rank
 			Dst:    dst,
 			Tag:    tag,
 			Chunk:  chunk,
 			Chunks: chunks,
 		}
-		wire := e.SealCtx(nil, mpi.Bytes(plain), &ctx)
+		wire := sealCtx(e, mpi.Bytes(plain), &ctx)
 
 		// 1. A context differing in one field must reject (skip mutations
 		// that collapse onto the sealed value).
 		bad := ctx
 		switch mutate % 6 {
 		case 0:
-			bad.Op = Op((op + 1) % 6)
+			bad.Op = Op(1 + (op+1)%5)
 		case 1:
 			bad.Src = 1
 		case 2:
@@ -347,27 +360,27 @@ func FuzzSessionAAD(f *testing.F) {
 		case 5:
 			bad.Chunks++
 		}
-		if _, err := e.OpenCtx(nil, wire, &bad); !errors.Is(err, aead.ErrAuth) {
+		if _, err := openCtx(e, wire, &bad); !errors.Is(err, aead.ErrAuth) {
 			t.Fatalf("mutated context (case %d) opened: %v", mutate%6, err)
 		}
 
 		// 2. A tampered wire byte must reject under the honest context.
 		tampered := mpi.Bytes(append([]byte(nil), wire.Data...))
 		tampered.Data[int(flip)%len(tampered.Data)] ^= 0x01
-		if _, err := e.OpenCtx(nil, tampered, &ctx); !errors.Is(err, aead.ErrAuth) {
+		if _, err := openCtx(e, tampered, &ctx); !errors.Is(err, aead.ErrAuth) {
 			t.Fatalf("tampered wire opened: %v", err)
 		}
 
 		// 3. The honest context opens the genuine record — the rejections
 		// above must not have burned its sequence number — and only once.
-		got, err := e.OpenCtx(nil, wire, &ctx)
+		got, err := openCtx(e, wire, &ctx)
 		if err != nil {
 			t.Fatalf("honest open: %v", err)
 		}
 		if !bytes.Equal(got.Data, plain) {
 			t.Fatalf("plaintext mismatch: %q != %q", got.Data, plain)
 		}
-		if _, err := e.OpenCtx(nil, wire, &ctx); !errors.Is(err, ErrReplay) {
+		if _, err := openCtx(e, wire, &ctx); !errors.Is(err, ErrReplay) {
 			t.Fatalf("replay: got %v, want ErrReplay", err)
 		}
 	})

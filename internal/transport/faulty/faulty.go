@@ -33,7 +33,8 @@ const (
 	Extend
 	// Replay records the first matching payload and substitutes it for
 	// every later matching payload — the "replace a ciphertext with a prior
-	// one" adversary the paper scopes out and ReplayGuard closes.
+	// one" adversary the paper scopes out and the session replay window
+	// closes.
 	Replay
 	// Reorder holds a matching message back and delivers it after whatever
 	// the sender injects next, violating per-pair FIFO ordering.

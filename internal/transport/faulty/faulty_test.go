@@ -11,6 +11,7 @@ import (
 	"encmpi/internal/encmpi"
 	"encmpi/internal/mpi"
 	"encmpi/internal/sched"
+	"encmpi/internal/session"
 	"encmpi/internal/transport/faulty"
 	"encmpi/internal/transport/shm"
 )
@@ -229,33 +230,52 @@ func TestReplayAcceptedWithoutGuard(t *testing.T) {
 	}
 }
 
-// TestReplayRejectedByGuard: ReplayGuard sees the replayed nonce counter
-// fail to advance and rejects the message the bare engine accepted.
-func TestReplayRejectedByGuard(t *testing.T) {
-	ft, w := setup(2)
-	ft.SetFault(faulty.Replay, nil)
-	key := bytes.Repeat([]byte{7}, 32)
-	runFaulty(t, 2, ft, w, func(c *mpi.Comm) {
-		codec, err := codecs.New("aesstd", key)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		guarded := encmpi.NewReplayGuard(encmpi.NewRealEngine(codec, aead.NewCounterNonce(uint32(c.Rank()))))
-		e := encmpi.Wrap(c, guarded)
-		switch c.Rank() {
-		case 0:
-			e.Send(1, 0, mpi.Bytes([]byte("counter 1")))
-			e.Send(1, 1, mpi.Bytes([]byte("counter 2")))
-		case 1:
-			if _, _, err := e.Recv(0, 0); err != nil {
-				t.Errorf("genuine message rejected: %v", err)
-			}
-			if _, _, err := e.Recv(0, 1); !errors.Is(err, encmpi.ErrReplay) {
-				t.Errorf("replayed message produced %v, want ErrReplay", err)
-			}
-		}
-	})
+// TestReplayRejectedBySession: the session engine rejects the replayed
+// record the bare engine accepted — as a replay (session.ErrReplay) when it
+// lands where an identically-bound record was expected, and as a plain
+// authentication failure when the receiver derived a different context for
+// that slot (here: another tag).
+func TestReplayRejectedBySession(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		secondTag int
+		want      error
+	}{
+		{"same-binding", 0, session.ErrReplay},
+		{"other-tag", 1, aead.ErrAuth},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ft, w := setup(2)
+			ft.SetFault(faulty.Replay, nil)
+			key := bytes.Repeat([]byte{7}, 32)
+			runFaulty(t, 2, ft, w, func(c *mpi.Comm) {
+				s, err := session.New(session.Config{
+					Key:   key,
+					Build: func(k []byte) (aead.Codec, error) { return codecs.New("aesstd", k) },
+				})
+				if err == nil {
+					err = s.Attach(c.Rank(), c.Size(), nil)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				e := encmpi.Wrap(c, s.Engine())
+				switch c.Rank() {
+				case 0:
+					e.Send(1, 0, mpi.Bytes([]byte("counter 1")))
+					e.Send(1, tc.secondTag, mpi.Bytes([]byte("counter 2")))
+				case 1:
+					if _, _, err := e.Recv(0, 0); err != nil {
+						t.Errorf("genuine message rejected: %v", err)
+					}
+					if _, _, err := e.Recv(0, tc.secondTag); !errors.Is(err, tc.want) {
+						t.Errorf("replayed message produced %v, want %v", err, tc.want)
+					}
+				}
+			})
+		})
+	}
 }
 
 // TestReorderDeliversBoth: the held message is released behind the next

@@ -37,13 +37,23 @@ echo "$out" | grep -q "byte accounting OK" || {
 	exit 1
 }
 
-echo "== alloc-regression smoke (pooled hot path must beat unpooled baseline)"
-# The AllocsPerRun tests pin the bufpool win (pooled Seal/Open at ≤ half the
-# unpooled allocations) and the transport hot paths (256 KiB TCP rendezvous
-# round trip at ~0 allocs/op, down from the seed's 16); the single-shot
-# benchmarks exercise the NoPool A/B paths end to end.
-go test ./internal/encmpi ./internal/transport/tcp -run 'AllocRegression' -count=1
+echo "== alloc-regression smoke (pooled hot paths stay under their absolute ceilings)"
+# The AllocsPerRun tests pin the hot paths at fixed ceilings: pooled Seal/Open
+# at 0 allocs/op, the parallel engine's dispatch, the chunked 1 MiB exchange,
+# the 1 KiB session ping-pong over the shm rings (record contexts travel by
+# value — no per-record allocation), and the 256 KiB TCP rendezvous round
+# trip at ~0 allocs/op; the single-shot benchmarks prove the harness runs.
+go test ./internal/encmpi ./internal/transport/tcp -run 'AllocRegression|PingPongAllocs' -count=1
 go test ./internal/encmpi ./internal/transport/tcp -run '^$' -bench 'Alloc' -benchtime 1x
+
+echo "== one engine contract (no capability discovery by type assertion)"
+# The encrypted layer makes the same two calls on every engine (DESIGN.md
+# §7.1). The only engine type assertion allowed in non-test code is Wrap's
+# *HearEngine parameter unwrap.
+if grep -nE '(eng|Engine\(\))\.\(' internal/encmpi/*.go | grep -v '_test\.go:' | grep -v '\.(\*HearEngine)'; then
+	echo "engine type assertion found in internal/encmpi (see above)"
+	exit 1
+fi
 
 echo "== pipeline-overlap smoke (chunked rendezvous must overlap crypto with the wire)"
 # TestPipelineOverlapSmoke pins the tentpole property over real TCP: a 1 MiB

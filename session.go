@@ -71,12 +71,10 @@ func WithRekeyInterval(d time.Duration) SessionOption {
 // transfer mid-message; d ≤ 0 means no grace — records from a retired epoch
 // reject immediately.
 func WithEpochGrace(d time.Duration) SessionOption {
-	return func(c *sessionConfig) {
-		if d <= 0 {
-			d = -1
-		}
-		c.grace = d
+	if d <= 0 {
+		d = -1
 	}
+	return func(c *sessionConfig) { c.grace = d }
 }
 
 // NewSession builds a session from a 16/24/32-byte master key (for example

@@ -244,8 +244,7 @@ func TestSessionReflectRejected(t *testing.T) {
 
 // TestSessionReplayRejected replays a genuine ciphertext. The duplicate
 // matches the receiver's second posted receive and must be rejected by the
-// replay window as an auth failure — the seq-window heuristic of the legacy
-// ReplayGuard is not involved.
+// replay window as an auth failure.
 func TestSessionReplayRejected(t *testing.T) {
 	key := sessionKey(0xF6)
 	reg := encmpi.NewRegistry(2)
