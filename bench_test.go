@@ -475,6 +475,70 @@ func BenchmarkAblationPipelined(b *testing.B) {
 	b.ReportMetric(pipe.Seconds()*1e6, "pipelined-µs")
 }
 
+// BenchmarkPingPong1MiBTCP is the real-transport counterpart of the ablation
+// above, and what makes the ROADMAP item-1 finding reproducible: a 1 MiB
+// ping-pong over loopback TCP through the facade — a session and the
+// unencrypted wrapper, each with the chunked rendezvous at its default
+// threshold and switched off — reporting the one-way time. On a 2-vCPU box
+// chunking buys the session path a few percent and costs the unencrypted
+// wrapper its per-chunk protocol work (EXPERIMENTS.md, "Eager record path").
+func BenchmarkPingPong1MiBTCP(b *testing.B) {
+	const size, warm = 1 << 20, 5
+	key := bytes.Repeat([]byte{0x42}, 32)
+	for _, engine := range []string{"session", "unencrypted"} {
+		for _, mode := range []struct {
+			name      string
+			threshold int
+		}{{"chunked", 0}, {"whole", -1}} {
+			b.Run(engine+"/"+mode.name, func(b *testing.B) {
+				var elapsed time.Duration
+				err := RunTCP(2, func(c *Comm) {
+					e := EncryptWith(c, Unencrypted(), WithPipelineThreshold(mode.threshold))
+					if engine == "session" {
+						s, err := NewSession(key)
+						if err == nil {
+							e, err = s.Attach(c, WithPipelineThreshold(mode.threshold))
+						}
+						if err != nil {
+							panic(err)
+						}
+					}
+					payload := Bytes(make([]byte, size))
+					peer := 1 - c.Rank()
+					var start time.Time
+					for i := 0; i < warm+b.N; i++ {
+						if i == warm {
+							start = time.Now()
+						}
+						if c.Rank() == 0 {
+							if err := e.Send(peer, 0, payload); err != nil {
+								panic(err)
+							}
+						}
+						got, _, err := e.Recv(peer, 0)
+						if err != nil {
+							panic(err)
+						}
+						got.Release()
+						if c.Rank() == 1 {
+							if err := e.Send(peer, 0, payload); err != nil {
+								panic(err)
+							}
+						}
+					}
+					if c.Rank() == 0 {
+						elapsed = time.Since(start)
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(elapsed.Seconds()*1e6/float64(2*b.N), "oneway-µs")
+			})
+		}
+	}
+}
+
 // BenchmarkAblationBcastPipelined quantifies the segmented pipelined
 // broadcast against the monolithic encrypted Bcast at 1 MiB on the
 // simulated cluster: sealing chunk k+1 and relaying chunk k overlap down

@@ -12,8 +12,7 @@ import (
 // arrive instead of after the whole ciphertext has landed. Each chunk is an
 // independent AEAD message under its own nonce, so authentication fails per
 // chunk and reassembly never trusts unauthenticated bytes. Below the
-// threshold nothing changes: the classic seal-whole-message single-frame
-// path runs exactly as before.
+// threshold the seal-whole-message single-frame path runs.
 
 // DefaultPipelineThreshold is the payload size at which Send/Isend switch
 // to the chunked overlap path. A message this size spends long enough on
@@ -63,10 +62,8 @@ func (e *Comm) chunkPlan(n int) (chunkLen, count int, ok bool) {
 // isendChunked starts the chunked overlap send: the RTS announces the exact
 // wire total and chunk count, and each chunk is sealed lazily — on the
 // waiting goroutine, while earlier chunks drain — by the src callback the
-// rendezvous progress engine drives. Unlike the eager-sealing Isend, the
-// caller's buffer must stay untouched until the request completes (the
-// standard MPI_Isend contract).
-func (e *Comm) isendChunked(dst, tag int, buf mpi.Buffer, chunkLen, count int) *Request {
+// rendezvous progress engine drives.
+func (e *Comm) isendChunked(req *Request, dst, tag int, buf mpi.Buffer, chunkLen, count int) {
 	n := buf.Len()
 	wireTotal := 0
 	for k := 0; k < count; k++ {
@@ -76,9 +73,10 @@ func (e *Comm) isendChunked(dst, tag int, buf mpi.Buffer, chunkLen, count int) *
 		}
 		wireTotal += e.eng.WireLen(hi - lo)
 	}
-	// Hold the payload's pool lease (if any) until the last chunk is sealed.
+	// Hold the payload's pool lease (if any) until the send completes.
 	buf.Retain()
-	inner := e.c.IsendChunks(dst, tag, wireTotal, count, func(k int) (mpi.Buffer, error) {
+	req.hold = buf
+	e.c.StartSendChunks(&req.inner, (*recordHook)(req), dst, tag, wireTotal, count, func(k int) (mpi.Buffer, error) {
 		lo, hi := k*chunkLen, (k+1)*chunkLen
 		if hi > n {
 			hi = n
@@ -87,70 +85,63 @@ func (e *Comm) isendChunked(dst, tag int, buf mpi.Buffer, chunkLen, count int) *
 		// the point-to-point coordinates, so segments cannot be reordered or
 		// transplanted between transfers of the same shape.
 		ctx := e.p2pSendCtx(dst, tag)
-		ctx.Chunk, ctx.Chunks = k, count
+		ctx.Chunk, ctx.Chunks, ctx.Scratch = k, count, &req.aad
 		return e.seal(buf.Slice(lo, hi), ctx), nil
 	})
-	inner.SetOnComplete(func(*mpi.Request) { buf.Release() })
-	return &Request{inner: inner}
 }
 
-// chunkOpenSink builds the per-chunk consumer a receive installs before it
-// is posted: each arriving wire chunk is opened inside Wait — overlapping
-// the wire time of the chunks still inbound — and its plaintext landed
-// directly in one pooled assembly buffer, so the receive does exactly the
-// byte work of the single-frame path plus per-frame protocol cost. Modeled
-// runs move sizes and time, not bytes: a synthetic chunk is opened for its
-// length alone. The rendezvous protocol guarantees in-order, exactly-once
-// calls and has already bounded the wire bytes by the RTS announcement, so
-// the sink's own bounds checks are defense in depth. Any authentication
-// failure fails the receive at that chunk; the sink releases its partial
-// assembly before reporting it.
-func (e *Comm) chunkOpenSink() mpi.ChunkSink {
-	var asm *bufpool.Lease
-	var off int
-	synthetic := false
-	return func(k, count, wireTotal, src, tag int, chunk mpi.Buffer) (mpi.Buffer, error) {
-		// Derive the context this segment must have been sealed under: the
-		// exchange coordinates from the RTS (src arrives in world numbering)
-		// plus the segment's position in the stream.
-		ctx := e.p2pRecvCtx(src, tag)
-		ctx.Chunk, ctx.Chunks = k, count
-		fail := func(err error) (mpi.Buffer, error) {
-			asm.Release()
-			asm = nil
-			return mpi.Buffer{}, err
-		}
-		// A stream that switches representation mid-message is malformed.
-		if chunk.IsSynthetic() != synthetic && k > 0 {
-			return fail(malformedf("chunk %d of %d switches between real and synthetic bytes", k, count))
-		}
-		if chunk.IsSynthetic() {
-			synthetic = true
-			plain, err := e.open(chunk, ctx)
-			if err != nil {
-				return fail(err)
-			}
-			off += plain.Len()
-			if k == count-1 {
-				return mpi.Synthetic(off), nil
-			}
-			return mpi.Buffer{}, nil
-		}
-		if asm == nil {
-			// wireTotal bounds the plaintext total: Open never expands, and
-			// the [off:wireTotal] window below enforces it per chunk.
-			asm = bufpool.Get(wireTotal)
-		}
-		plain, err := e.openTo(asm.Bytes()[off:wireTotal], chunk, ctx)
+// Chunk implements mpi.Hook: the per-chunk consumer of a receive whose sender
+// chunked. Each arriving wire chunk is opened inside Wait — overlapping the
+// wire time of the chunks still inbound — and its plaintext landed directly
+// in one pooled assembly buffer, so the receive does exactly the byte work of
+// the single-frame path plus per-frame protocol cost. Modeled runs move sizes
+// and time, not bytes: a synthetic chunk is opened for its length alone. The
+// rendezvous protocol guarantees in-order, exactly-once calls and has bounded
+// the wire bytes by the RTS announcement; the checks here are defense in
+// depth. An authentication failure fails the receive at that chunk.
+func (h *recordHook) Chunk(k, count, wireTotal, src, tag int, chunk mpi.Buffer) (mpi.Buffer, error) {
+	req := (*Request)(h)
+	e := req.e
+	// Derive the context this segment must have been sealed under: the
+	// exchange coordinates from the RTS (src arrives in world numbering)
+	// plus the segment's position in the stream.
+	ctx := e.p2pRecvCtx(src, tag)
+	ctx.Chunk, ctx.Chunks, ctx.Scratch = k, count, &req.aad
+	fail := func(err error) (mpi.Buffer, error) {
+		req.asm.Release()
+		req.asm = nil
+		return mpi.Buffer{}, err
+	}
+	// A stream that switches representation mid-message is malformed.
+	if chunk.IsSynthetic() != req.synthetic && k > 0 {
+		return fail(malformedf("chunk %d of %d switches between real and synthetic bytes", k, count))
+	}
+	if chunk.IsSynthetic() {
+		req.synthetic = true
+		plain, err := e.open(chunk, ctx)
 		if err != nil {
 			return fail(err)
 		}
-		off += plain.Len()
+		req.off += plain.Len()
 		if k == count-1 {
-			out := mpi.BytesWithLease(asm.Bytes()[:off], asm)
-			asm = nil
-			return out, nil
+			return mpi.Synthetic(req.off), nil
 		}
 		return mpi.Buffer{}, nil
 	}
+	if req.asm == nil {
+		// wireTotal bounds the plaintext total: Open never expands, and
+		// the [off:wireTotal] window below enforces it per chunk.
+		req.asm = bufpool.Get(wireTotal)
+	}
+	plain, err := e.openTo(req.asm.Bytes()[req.off:wireTotal], chunk, ctx)
+	if err != nil {
+		return fail(err)
+	}
+	req.off += plain.Len()
+	if k == count-1 {
+		out := mpi.BytesWithLease(req.asm.Bytes()[:req.off], req.asm)
+		req.asm = nil
+		return out, nil
+	}
+	return mpi.Buffer{}, nil
 }

@@ -2,7 +2,9 @@ package encmpi
 
 import (
 	"fmt"
+	"sync"
 
+	"encmpi/internal/bufpool"
 	"encmpi/internal/hear"
 	"encmpi/internal/mpi"
 	"encmpi/internal/obs"
@@ -156,8 +158,8 @@ func (e *Comm) openTo(dst []byte, wire mpi.Buffer, ctx session.RecordCtx) (mpi.B
 // addressed to dst (DESIGN.md §14), returning the slot-backed wire buffer
 // and true on success. The returned buffer owns one lease reference exactly
 // like seal's result, but its storage is shared with the receiver, so it
-// must travel via IsendOwned/SendOwned (no eager clone) and must not be
-// mutated after injection. Any miss — no ring, ring full, payload out of the
+// must travel owned (no eager clone) and must not be mutated after
+// injection. Any miss — no ring, ring full, payload out of the
 // eager window, or the engine declining — falls back to the ordinary seal
 // path with nothing accounted.
 func (e *Comm) sealToSlot(dst int, buf mpi.Buffer, ctx session.RecordCtx) (mpi.Buffer, bool) {
@@ -219,120 +221,141 @@ func (e *Comm) Engine() Engine { return e.eng }
 // exchange, which must bootstrap before a session key exists).
 func (e *Comm) Unwrap() *mpi.Comm { return e.c }
 
-// Request is an encrypted non-blocking operation handle.
+// Request is an encrypted non-blocking operation handle, one object per
+// operation: it embeds the protocol request Wait drives and is its hook.
 type Request struct {
-	inner *mpi.Request
-	// err records a decryption failure discovered inside Wait.
-	err error
-	// isRecv marks requests whose completion runs the decrypt hook.
-	isRecv bool
+	inner mpi.Request
+	e     *Comm
+	// recv marks a receive, whose completion opens the record; a send's
+	// completion drops hold: the sealed wire record of an eager send or the
+	// caller's payload lease of a chunked one.
+	recv bool
+	hold mpi.Buffer
+	// Chunk-sink state of a receive whose sender chunked: the pooled assembly,
+	// the plaintext bytes landed in it, whether the stream is lengths only.
+	asm       *bufpool.Lease
+	off       int
+	synthetic bool
+	// aad is lent to the request's records (RecordCtx.Scratch), one at a time.
+	aad [session.AADLen]byte
+}
+
+// reqPool recycles the blocking operations' requests; non-blocking handles
+// are the caller's (mpi.Wait supports concurrent waiters).
+var reqPool = sync.Pool{New: func() any { return new(Request) }}
+
+func putRequest(r *Request) {
+	if r.inner.Reusable() {
+		*r = Request{}
+		reqPool.Put(r)
+	}
+}
+
+// recordHook is the mpi.Hook view of a Request: a defined pointer type, so
+// installing it is a conversion of the pointer the operation already holds.
+type recordHook Request
+
+// Complete implements mpi.Hook, inside Wait: a send drops the reference it
+// held for the wire, a receive opens the record a classic sender delivered.
+func (h *recordHook) Complete(wire mpi.Buffer, st mpi.Status, err error) (mpi.Buffer, error) {
+	req := (*Request)(h)
+	if !req.recv {
+		req.hold.Release()
+		return mpi.Buffer{}, err
+	}
+	if err != nil {
+		// The receive itself failed; there is no wire buffer to decrypt.
+		return mpi.Buffer{}, err
+	}
+	// Wait translates the status into comm numbering after the hook, so the
+	// matched source is still a world rank here.
+	e := req.e
+	ctx := e.p2pRecvCtx(st.Source, st.Tag)
+	ctx.Scratch = &req.aad
+	plain, err := e.open(wire, ctx)
+	if err != nil {
+		wire.Release()
+		return mpi.Buffer{}, err
+	}
+	if !plain.SharesStorage(wire) {
+		// Fresh plaintext storage: the request's reference on the wire
+		// ciphertext is the last one. Engines that return the wire's own
+		// storage (null, the model's prefix) keep it alive through plain.
+		wire.Release()
+	}
+	return plain, nil
 }
 
 // Send is Encrypted_Send: seal, then send the wire message. A non-nil error
-// matches mpi.ErrTransport and means the ciphertext never left this rank
-// cleanly. The sealed wire buffer is pooled; its lease is dropped here once
-// the blocking send has injected the bytes. Payloads at or above the
-// pipeline threshold travel chunked (chunked.go), sealing each chunk while
-// the previous one is on the wire.
+// matches mpi.ErrTransport: the ciphertext never left this rank cleanly.
+// Payloads at or above the pipeline threshold travel chunked (chunked.go),
+// sealing each chunk while the previous one is on the wire.
 func (e *Comm) Send(dst, tag int, buf mpi.Buffer) error {
-	if chunkLen, count, ok := e.chunkPlan(buf.Len()); ok {
-		req := e.isendChunked(dst, tag, buf, chunkLen, count)
-		_, _, err := e.Wait(req)
-		return err
-	}
-	ctx := e.p2pSendCtx(dst, tag)
-	// Slot fast path: seal straight into a shm ring slot and inject it as-is
-	// (the receiver opens from the same storage — zero intermediate copies).
-	if wire, ok := e.sealToSlot(dst, buf, ctx); ok {
-		err := e.c.SendOwned(dst, tag, wire)
-		wire.Release()
-		return err
-	}
-	wire := e.seal(buf, ctx)
-	err := e.c.Send(dst, tag, wire)
-	wire.Release()
+	req := reqPool.Get().(*Request)
+	e.isend(req, dst, tag, buf)
+	_, _, err := e.Wait(req)
+	putRequest(req)
 	return err
 }
 
 // Isend is Encrypted_Isend. Below the pipeline threshold, encryption
 // happens eagerly (the payload is captured before the caller reuses its
-// buffer) and injection is non-blocking; the sealed wire buffer's pool
-// lease is dropped when the send completes (inside Wait), the first point
-// the transport is guaranteed done with it. At or above the threshold the
-// chunked overlap path seals lazily instead — chunk by chunk, inside Wait —
-// and the caller must leave the buffer untouched until the request
-// completes, which is the standard MPI_Isend contract.
+// buffer) and injection is non-blocking; the sealed record's lease is dropped
+// when the send completes (inside Wait), the first point the transport is
+// guaranteed done with it. At or above the threshold the chunked overlap path
+// seals lazily — chunk by chunk, inside Wait — and the caller must leave the
+// buffer untouched until the request completes (the MPI_Isend contract).
 func (e *Comm) Isend(dst, tag int, buf mpi.Buffer) *Request {
+	req := new(Request)
+	e.isend(req, dst, tag, buf)
+	return req
+}
+
+func (e *Comm) isend(req *Request, dst, tag int, buf mpi.Buffer) {
+	req.e = e
 	if chunkLen, count, ok := e.chunkPlan(buf.Len()); ok {
-		return e.isendChunked(dst, tag, buf, chunkLen, count)
+		e.isendChunked(req, dst, tag, buf, chunkLen, count)
+		return
 	}
 	ctx := e.p2pSendCtx(dst, tag)
-	var (
-		wire  mpi.Buffer
-		inner *mpi.Request
-	)
-	if w, ok := e.sealToSlot(dst, buf, ctx); ok {
-		// Slot fast path: the ciphertext already sits in a shm ring slot the
-		// receiver will open from — inject it without the eager clone.
-		wire, inner = w, e.c.IsendOwned(dst, tag, w)
-	} else {
+	ctx.Scratch = &req.aad
+	// Slot fast path: seal straight into a shm ring slot the receiver opens
+	// from. Otherwise seal into a pooled lease: a record carrying a lease (the
+	// zero Buffer has none) that is not the caller's is the layer's private
+	// capture, injected as it is on every transport; an engine that hands back
+	// the caller's storage or a bare length (null, model) leaves the eager
+	// capture to the protocol.
+	wire, owned := e.sealToSlot(dst, buf, ctx)
+	if !owned {
 		wire = e.seal(buf, ctx)
-		inner = e.c.Isend(dst, tag, wire)
+		owned = !wire.SharesStorage(buf) && !wire.SharesStorage(mpi.Buffer{})
 	}
-	inner.SetOnComplete(func(*mpi.Request) { wire.Release() })
-	return &Request{inner: inner}
+	req.hold = wire
+	e.c.StartSend(&req.inner, (*recordHook)(req), dst, tag, wire, owned)
 }
 
 // Irecv is Encrypted_Irecv: it posts the receive for the wire-format message
 // and defers decryption to Wait, preserving the non-blocking property
-// exactly as the paper's implementation does (§IV). A chunked sender's
-// frames are opened one by one as they arrive (the chunk sink below); a
-// classic sender's ciphertext arrives whole and is opened by the completion
-// hook. Both run inside Wait.
+// exactly as the paper's implementation does (§IV): a chunked sender's frames
+// are opened one by one as they arrive (recordHook.Chunk), a classic sender's
+// ciphertext arrives whole and is opened by recordHook.Complete.
 func (e *Comm) Irecv(src, tag int) *Request {
-	req := &Request{inner: e.c.IrecvSink(src, tag, e.chunkOpenSink()), isRecv: true}
-	req.inner.SetOnComplete(func(r *mpi.Request) {
-		if terr := r.Err(); terr != nil {
-			// The receive itself failed; there is no wire buffer to decrypt.
-			req.err = terr
-			return
-		}
-		wire := r.BufferOf()
-		// The hook runs before Wait translates the status into comm
-		// numbering, so the matched source is still a world rank here.
-		st := r.StatusOf()
-		plain, err := e.open(wire, e.p2pRecvCtx(st.Source, st.Tag))
-		if err != nil {
-			req.err = err
-			r.SetBuffer(mpi.Buffer{})
-			wire.Release()
-			return
-		}
-		r.SetBuffer(plain)
-		if !plain.SharesStorage(wire) {
-			// The engine produced fresh plaintext storage: the request's
-			// reference on the wire ciphertext is the last one — recycle it.
-			// Engines that return the wire's own storage (NullEngine, the
-			// model engine's prefix) keep the lease alive through plain.
-			wire.Release()
-		}
-	})
+	req := new(Request)
+	e.irecv(req, src, tag)
 	return req
 }
 
-// Wait completes a request. For receives it returns the decrypted payload;
-// a non-nil error means authentication failed and the data must be
-// discarded. Send failures (the transport could not carry a frame, or a
-// chunk failed to seal) surface here too, matching mpi.ErrTransport.
+func (e *Comm) irecv(req *Request, src, tag int) {
+	req.e, req.recv = e, true
+	e.c.StartRecv(&req.inner, (*recordHook)(req), src, tag)
+}
+
+// Wait completes a request. For receives it returns the decrypted payload; a
+// non-nil error means authentication failed and the data must be discarded.
+// Send failures (the transport could not carry a frame, or a chunk failed to
+// seal) surface here too, matching mpi.ErrTransport.
 func (e *Comm) Wait(req *Request) (mpi.Buffer, mpi.Status, error) {
-	buf, st := e.c.Wait(req.inner)
-	if req.err != nil {
-		return mpi.Buffer{}, st, req.err
-	}
-	if err := req.inner.Err(); err != nil {
-		return mpi.Buffer{}, st, err
-	}
-	return buf, st, nil
+	return e.c.WaitErr(&req.inner)
 }
 
 // Waitall completes all requests, returning the first error encountered
@@ -349,7 +372,11 @@ func (e *Comm) Waitall(reqs []*Request) error {
 
 // Recv is Encrypted_Recv: blocking receive plus decryption.
 func (e *Comm) Recv(src, tag int) (mpi.Buffer, mpi.Status, error) {
-	return e.Wait(e.Irecv(src, tag))
+	req := reqPool.Get().(*Request)
+	e.irecv(req, src, tag)
+	buf, st, err := e.Wait(req)
+	putRequest(req)
+	return buf, st, err
 }
 
 // Sendrecv is the encrypted exchange.

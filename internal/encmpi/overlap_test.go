@@ -11,6 +11,7 @@ import (
 	"encmpi/internal/sched"
 	"encmpi/internal/session"
 	"encmpi/internal/transport/shm"
+	"encmpi/internal/transport/tcp"
 )
 
 // TestPipelineOverlapSmoke is the CI gate for the tentpole property: over
@@ -125,66 +126,130 @@ func TestChunkedAllocRegression(t *testing.T) {
 	t.Logf("chunked 1 MiB exchange: %.0f allocs", allocs)
 }
 
-// TestSessionPingPongAllocs pins the allocation cost of one 1 KiB session
-// ping-pong over the shm slot rings on a warm world — the merged
-// seal-into-slot / open-in-place path. Both records are sealed straight into
-// ring slots and opened from them, so what remains is protocol overhead
-// (requests, frames, completion closures); in particular deriving a record
-// context costs no allocation.
-func TestSessionPingPongAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are meaningless")
-	}
-	tr := shm.New()
+// sessionPair attaches two session endpoints to a fresh 2-rank world over tr,
+// which bind connects to it.
+func sessionPair(t *testing.T, tr mpi.Transport, bind func(*mpi.World)) []*encmpi.Comm {
+	t.Helper()
 	w := mpi.NewWorld(2, tr, 64<<10)
-	tr.Bind(w)
+	bind(w)
 	var g sched.Group
 	encs := make([]*encmpi.Comm, 2)
 	for i := range encs {
 		encs[i] = encmpi.Wrap(w.AttachRank(i, g.Proc()), sessionEngine(t, session.Config{Key: testKey}, i, 2, nil))
 	}
+	return encs
+}
 
-	payload := mpi.Bytes(patterned(1 << 10))
+// allocsPerRound drives rank 1's half of a round on its own goroutine and
+// returns the allocations of one warm round, both ranks together.
+func allocsPerRound(t *testing.T, runs int, rank0, rank1 func()) float64 {
+	t.Helper()
 	start := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		for range start {
-			got, _, err := encs[1].Recv(0, 0)
-			if err != nil {
-				t.Error(err)
-			}
-			got.Release()
-			if err := encs[1].Send(0, 0, payload); err != nil {
-				t.Error(err)
-			}
+			rank1()
 		}
 	}()
 	round := func() {
 		start <- struct{}{}
-		if err := encs[0].Send(1, 0, payload); err != nil {
-			t.Error(err)
-		}
-		got, _, err := encs[0].Recv(1, 0)
+		rank0()
+	}
+	for i := 0; i < 3; i++ {
+		round() // warm the pools, the rings and the wire queues
+	}
+	allocs := testing.AllocsPerRun(runs, round)
+	close(start)
+	<-done
+	return allocs
+}
+
+// TestSessionPingPongAllocs pins the allocation cost of one 1 KiB session
+// ping-pong over the shm slot rings on a warm world: nothing. Both records
+// are sealed straight into ring slots and opened from them into pooled
+// plaintext, the blocking calls recycle their one request object, and the
+// record context and the AAD cost no allocation.
+func TestSessionPingPongAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are meaningless")
+	}
+	shmTr := shm.New()
+	encs := sessionPair(t, shmTr, shmTr.Bind)
+	payload := mpi.Bytes(patterned(1 << 10))
+	recv := func(e *encmpi.Comm, from int) {
+		got, _, err := e.Recv(from, 0)
 		if err != nil {
 			t.Error(err)
 		}
 		got.Release()
 	}
-	for i := 0; i < 3; i++ {
-		round() // warm the pools and the rings
+	send := func(e *encmpi.Comm, to int) {
+		if err := e.Send(to, 0, payload); err != nil {
+			t.Error(err)
+		}
 	}
-	allocs := testing.AllocsPerRun(100, round)
-	close(start)
-	wg.Wait()
+	allocs := allocsPerRound(t, 100,
+		func() { send(encs[0], 1); recv(encs[0], 1) },
+		func() { recv(encs[1], 0); send(encs[1], 0) })
+	if allocs > 0 {
+		t.Errorf("1 KiB session ping-pong: %.0f allocs, want 0", allocs)
+	}
+}
 
-	// 22 is the count measured before the one-contract refactor, which paid
-	// four heap-allocated record contexts per round trip; by-value contexts
-	// measure 18. The rest is protocol overhead: requests, frames, closures.
-	const budget = 22
-	if allocs > budget {
-		t.Errorf("1 KiB session ping-pong: %.0f allocs, budget %d", allocs, budget)
+// TestSessionWindowAllocs pins the OSU-bw shape over TCP: 64 × 4 KiB
+// Isend/Irecv/Wait and a 1-byte ack. A non-blocking operation allocates
+// exactly its one request object — the handle belongs to the caller and is
+// not recycled — so a warm window costs one allocation per message per side
+// (128); the blocking ack pair and the TCP transport pin none. The slack
+// absorbs sporadic sync.Pool refills after a collection.
+func TestSessionWindowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are meaningless")
 	}
-	t.Logf("1 KiB session ping-pong: %.0f allocs", allocs)
+	const window, size = 64, 4 << 10
+	tr, err := tcp.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	encs := sessionPair(t, tr, tr.Bind)
+	data := patterned(window * size)
+	ack := mpi.Bytes([]byte{1})
+	sreqs := make([]*encmpi.Request, window)
+	rreqs := make([]*encmpi.Request, window)
+	allocs := allocsPerRound(t, 20,
+		func() {
+			for k := range sreqs {
+				sreqs[k] = encs[0].Isend(1, 0, mpi.Bytes(data[k*size:(k+1)*size]))
+			}
+			if err := encs[0].Waitall(sreqs); err != nil {
+				t.Error(err)
+			}
+			got, _, err := encs[0].Recv(1, 0)
+			if err != nil {
+				t.Error(err)
+			}
+			got.Release()
+		},
+		func() {
+			for k := range rreqs {
+				rreqs[k] = encs[1].Irecv(0, 0)
+			}
+			for _, req := range rreqs {
+				got, _, err := encs[1].Wait(req)
+				if err != nil || got.Len() != size {
+					t.Errorf("window receive: %d bytes, err %v", got.Len(), err)
+				}
+				got.Release()
+			}
+			if err := encs[1].Send(0, 0, ack); err != nil {
+				t.Error(err)
+			}
+		})
+	const perWindow, slack = 2 * window, 8
+	if allocs > perWindow+slack {
+		t.Errorf("64 x 4 KiB session window over tcp: %.0f allocs, want %d (one request per message per side)", allocs, perWindow)
+	}
+	t.Logf("64 x 4 KiB session window over tcp: %.0f allocs", allocs)
 }

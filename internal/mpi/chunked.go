@@ -17,18 +17,16 @@ import (
 // goroutine — the only place modeled crypto cost (proc.Advance) may be
 // charged — driven by the progress engine in Wait.
 
-// IsendChunks starts a non-blocking chunked rendezvous send of count chunks
-// totalling wireTotal bytes. src is called for k = 0 … count-1, in order, at
-// most once each, from a goroutine of this rank that is inside Wait; it
-// returns chunk k's payload carrying one reference that the protocol
-// releases after the transport accepts the frame. The chunk lengths must
-// sum to exactly wireTotal — the receiver rejects anything else as
-// malformed. The request completes when every chunk has drained from this
-// rank's adapter.
-//
-// Unlike Isend, the payload is produced lazily: whatever storage src reads
-// from must stay valid until Wait returns.
-func (c *Comm) IsendChunks(dst, tag int, wireTotal, count int, src func(k int) (Buffer, error)) *Request {
+// StartSendChunks starts a non-blocking chunked rendezvous send of count
+// chunks totalling wireTotal bytes on request storage the caller provides
+// (see StartSend; h may be nil). src is called for k = 0 … count-1, in
+// order, at most once each, from a goroutine of this rank that is inside
+// Wait; it returns chunk k's payload carrying one reference that the protocol
+// releases after the transport accepts the frame. The chunk lengths must sum
+// to exactly wireTotal — the receiver rejects anything else as malformed. The
+// request completes when every chunk has drained from this rank's adapter;
+// whatever storage src reads from must stay valid until then.
+func (c *Comm) StartSendChunks(req *Request, h Hook, dst, tag int, wireTotal, count int, src func(k int) (Buffer, error)) {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
@@ -38,7 +36,7 @@ func (c *Comm) IsendChunks(dst, tag int, wireTotal, count int, src func(k int) (
 	c.metrics.Op(obs.OpIsend)
 	wdst := c.worldOf(dst)
 	wsrc := c.st.rank
-	req := &Request{kind: reqSend, src: wdst, tag: tag, ctx: c.ctxUser, lane: c.lane, owner: c.st, comm: c}
+	*req = Request{kind: reqSend, src: wdst, tag: tag, ctx: c.ctxUser, lane: c.lane, owner: c.st, comm: c, hook: h}
 	req.chunks = &chunkState{count: count, wireTotal: wireTotal, src: src}
 	seq := c.w.nextSeq()
 	req.seq = seq
@@ -62,18 +60,6 @@ func (c *Comm) IsendChunks(dst, tag int, wireTotal, count int, src func(k int) (
 		}
 		st.mu.Unlock()
 	}
-	return req
-}
-
-// SetChunkSink installs the per-chunk consumer of a receive (the encrypted
-// layer's per-chunk decrypt). It takes effect only if the matching sender
-// used IsendChunks; a classic sender's payload arrives whole and runs the
-// SetOnComplete hook instead. Install it before the first Wait on this
-// rank after posting the receive.
-func (r *Request) SetChunkSink(sink ChunkSink) {
-	r.owner.mu.Lock()
-	r.sink = sink
-	r.owner.mu.Unlock()
 }
 
 // armChunksLocked turns a receive into a chunked one when the RTS announced
@@ -94,7 +80,6 @@ type chunkUnit struct {
 	// chunk is the arrived wire chunk to consume (receive units only); the
 	// claim transfers the queue's reference to the unit's runner.
 	chunk Buffer
-	sink  ChunkSink
 	// overlapped marks work that runs while the wire is still busy with
 	// this exchange (earlier chunks not yet drained on the send side, later
 	// chunks still inbound on the receive side) — the time the pipeline
@@ -131,7 +116,7 @@ func (st *rankState) claimChunkLocked() (chunkUnit, bool) {
 				cs.queue[k] = Buffer{}
 				cs.busy = true
 				return chunkUnit{
-					req: req, k: k, chunk: chunk, sink: req.sink,
+					req: req, k: k, chunk: chunk,
 					overlapped: cs.arrived < cs.count,
 				}, true
 			}
@@ -200,7 +185,7 @@ func (c *Comm) runChunkSend(u chunkUnit) {
 	st.proc.Unpark()
 }
 
-// runChunkOpen consumes one arrived chunk through the request's sink (or
+// runChunkOpen consumes one arrived chunk through the request's hook (or
 // the raw assembly below when none is installed).
 func (c *Comm) runChunkOpen(u chunkUnit) {
 	req := u.req
@@ -212,8 +197,8 @@ func (c *Comm) runChunkOpen(u chunkUnit) {
 	}
 	var out Buffer
 	var err error
-	if u.sink != nil {
-		out, err = u.sink(u.k, cs.count, cs.wireTotal, cs.from, cs.tag, u.chunk)
+	if req.hook != nil {
+		out, err = req.hook.Chunk(u.k, cs.count, cs.wireTotal, cs.from, cs.tag, u.chunk)
 	} else {
 		out, err = cs.assemble(u.k, u.chunk)
 	}
@@ -238,9 +223,9 @@ func (c *Comm) runChunkOpen(u chunkUnit) {
 		req.buf = out
 		req.status = Status{Source: cs.from, Tag: cs.tag, Len: out.Len()}
 		req.done = true
-		// The sink already consumed the payload chunk by chunk: suppress
-		// the whole-message completion hook so Wait does not run a stale
-		// decrypt over the assembled plaintext.
+		// The hook already consumed the payload chunk by chunk: suppress
+		// its whole-message Complete so Wait does not run a stale decrypt
+		// over the assembled plaintext.
 		req.completed = true
 		req.hookDone = true
 	}
@@ -248,7 +233,7 @@ func (c *Comm) runChunkOpen(u chunkUnit) {
 	st.proc.Unpark()
 }
 
-// assemble is the default sink: chunks are copied into one pooled buffer of
+// assemble is the hookless consumer: chunks are copied into one pooled buffer of
 // the announced total. It runs under the busy flag, never concurrently for
 // one exchange. Synthetic chunks (simulation) assemble into a synthetic
 // total.

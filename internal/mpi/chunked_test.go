@@ -23,12 +23,45 @@ func chunkPattern(k, size int) []byte {
 	return out
 }
 
-// chunkSrc returns an IsendChunks source producing count chunks of size
+// chunkSrc returns a chunked-send source producing count chunks of size
 // bytes each, with chunkPattern contents.
 func chunkSrc(count, size int) func(k int) (mpi.Buffer, error) {
 	return func(k int) (mpi.Buffer, error) {
 		return mpi.Bytes(chunkPattern(k, size)), nil
 	}
+}
+
+// isendChunks starts a hookless chunked send on fresh request storage.
+func isendChunks(c *mpi.Comm, dst, tag, wireTotal, count int, src func(k int) (mpi.Buffer, error)) *mpi.Request {
+	req := new(mpi.Request)
+	c.StartSendChunks(req, nil, dst, tag, wireTotal, count, src)
+	return req
+}
+
+// funcHook adapts two funcs to mpi.Hook, so a test can stand in for the
+// layered request the encrypted layer installs. A nil complete passes the
+// outcome through.
+type funcHook struct {
+	complete func(buf mpi.Buffer, st mpi.Status, err error) (mpi.Buffer, error)
+	chunk    func(k, count, wireTotal, src, tag int, chunk mpi.Buffer) (mpi.Buffer, error)
+}
+
+func (h *funcHook) Complete(buf mpi.Buffer, st mpi.Status, err error) (mpi.Buffer, error) {
+	if h.complete == nil {
+		return buf, err
+	}
+	return h.complete(buf, st, err)
+}
+
+func (h *funcHook) Chunk(k, count, wireTotal, src, tag int, chunk mpi.Buffer) (mpi.Buffer, error) {
+	return h.chunk(k, count, wireTotal, src, tag, chunk)
+}
+
+// irecvHook posts a receive on fresh request storage with h installed.
+func irecvHook(c *mpi.Comm, src, tag int, h mpi.Hook) *mpi.Request {
+	req := new(mpi.Request)
+	c.StartRecv(req, h, src, tag)
+	return req
 }
 
 // TestChunkedRendezvousRoundTrip sends a chunked rendezvous exchange into a
@@ -43,7 +76,7 @@ func TestChunkedRendezvousRoundTrip(t *testing.T) {
 	runBoth(t, 2, func(c *mpi.Comm) {
 		switch c.Rank() {
 		case 0:
-			req := c.IsendChunks(1, 5, count*size, count, chunkSrc(count, size))
+			req := isendChunks(c, 1, 5, count*size, count, chunkSrc(count, size))
 			c.Wait(req)
 			if err := req.Err(); err != nil {
 				t.Errorf("chunked send failed: %v", err)
@@ -61,7 +94,7 @@ func TestChunkedRendezvousRoundTrip(t *testing.T) {
 	})
 }
 
-// TestChunkedSinkConsumesInOrder drives a receive through IrecvSink and
+// TestChunkedSinkConsumesInOrder drives a receive through a hook's Chunk and
 // checks the sink contract: in-order chunk indices, correct count and wire
 // total on every call, and the sink's final buffer becoming the payload.
 func TestChunkedSinkConsumesInOrder(t *testing.T) {
@@ -69,7 +102,7 @@ func TestChunkedSinkConsumesInOrder(t *testing.T) {
 	if err := job.RunShm(2, func(c *mpi.Comm) {
 		switch c.Rank() {
 		case 0:
-			req := c.IsendChunks(1, 3, count*size, count, chunkSrc(count, size))
+			req := isendChunks(c, 1, 3, count*size, count, chunkSrc(count, size))
 			c.Wait(req)
 			if err := req.Err(); err != nil {
 				t.Errorf("chunked send failed: %v", err)
@@ -77,7 +110,7 @@ func TestChunkedSinkConsumesInOrder(t *testing.T) {
 		case 1:
 			var ks []int
 			var asm []byte
-			req := c.IrecvSink(0, 3, func(k, n, wireTotal, src, tag int, chunk mpi.Buffer) (mpi.Buffer, error) {
+			req := irecvHook(c, 0, 3, &funcHook{chunk: func(k, n, wireTotal, src, tag int, chunk mpi.Buffer) (mpi.Buffer, error) {
 				ks = append(ks, k)
 				if n != count || wireTotal != count*size {
 					t.Errorf("sink called with count %d total %d", n, wireTotal)
@@ -90,7 +123,7 @@ func TestChunkedSinkConsumesInOrder(t *testing.T) {
 					return mpi.Bytes(asm), nil
 				}
 				return mpi.Buffer{}, nil
-			})
+			}})
 			buf, st := c.Wait(req)
 			for i, k := range ks {
 				if i != k {
@@ -121,13 +154,13 @@ func TestChunkedSinkErrorFailsReceive(t *testing.T) {
 	if err := job.RunShm(2, func(c *mpi.Comm) {
 		switch c.Rank() {
 		case 0:
-			req := c.IsendChunks(1, 1, count*size, count, chunkSrc(count, size))
+			req := isendChunks(c, 1, 1, count*size, count, chunkSrc(count, size))
 			c.Wait(req)
 			if err := req.Err(); err != nil {
 				t.Errorf("sender failed: %v", err)
 			}
 		case 1:
-			req := c.IrecvSink(0, 1, func(k, n, wireTotal, src, tag int, chunk mpi.Buffer) (mpi.Buffer, error) {
+			req := irecvHook(c, 0, 1, &funcHook{chunk: func(k, n, wireTotal, src, tag int, chunk mpi.Buffer) (mpi.Buffer, error) {
 				if k == 2 {
 					return mpi.Buffer{}, bad
 				}
@@ -135,7 +168,7 @@ func TestChunkedSinkErrorFailsReceive(t *testing.T) {
 					return mpi.Bytes([]byte("unreachable")), nil
 				}
 				return mpi.Buffer{}, nil
-			})
+			}})
 			c.Wait(req)
 			if err := req.Err(); !errors.Is(err, bad) {
 				t.Errorf("receive Err() = %v, want %v", err, bad)
@@ -149,7 +182,7 @@ func TestChunkedSinkErrorFailsReceive(t *testing.T) {
 // TestWaitHookClaimedOnceUnderConcurrentWaiters is the regression test for
 // the hook-claim race: many goroutines Wait on the same request, the
 // completion hook must run exactly once, and no waiter may return before
-// the hook's effects (SetBuffer) are visible. Run with -race.
+// the hook's result is stored. Run with -race.
 func TestWaitHookClaimedOnceUnderConcurrentWaiters(t *testing.T) {
 	const waiters = 8
 	payload := bytes.Repeat([]byte{0x7E}, 128<<10)
@@ -162,15 +195,15 @@ func TestWaitHookClaimedOnceUnderConcurrentWaiters(t *testing.T) {
 				t.Error(err)
 			}
 		case 1:
-			req := c.Irecv(0, 4)
 			var hookRuns atomic.Int32
-			req.SetOnComplete(func(r *mpi.Request) {
+			req := irecvHook(c, 0, 4, &funcHook{complete: func(buf mpi.Buffer, _ mpi.Status, err error) (mpi.Buffer, error) {
 				hookRuns.Add(1)
 				// Widen the race window: other waiters must park until the
 				// hook finishes, then observe the swapped buffer.
 				time.Sleep(time.Millisecond)
-				r.SetBuffer(mpi.Bytes([]byte("swapped")))
-			})
+				buf.Release()
+				return mpi.Bytes([]byte("swapped")), err
+			}})
 			var wg sync.WaitGroup
 			for i := 0; i < waiters; i++ {
 				wg.Add(1)
@@ -263,7 +296,7 @@ func runChunkedAdversary(t *testing.T, tt *segTamper, comms []*mpi.Comm) error {
 		comms[1].Wait(req)
 		recvErr = req.Err()
 	}()
-	sreq := comms[0].IsendChunks(1, 9, count*size, count, chunkSrc(count, size))
+	sreq := isendChunks(comms[0], 1, 9, count*size, count, chunkSrc(count, size))
 	comms[0].Wait(sreq)
 	if err := sreq.Err(); err != nil {
 		t.Errorf("sender failed: %v", err)
@@ -406,7 +439,7 @@ func TestChunkedStressManyExchanges(t *testing.T) {
 		peer := 1 - c.Rank()
 		for r := 0; r < rounds; r++ {
 			rreq := c.Irecv(peer, r)
-			sreq := c.IsendChunks(peer, r, count*size, count, chunkSrc(count, size))
+			sreq := isendChunks(c, peer, r, count*size, count, chunkSrc(count, size))
 			buf, st := c.Wait(rreq)
 			c.Wait(sreq)
 			if err := sreq.Err(); err != nil {
@@ -428,9 +461,9 @@ func TestChunkedStressManyExchanges(t *testing.T) {
 	}
 }
 
-// TestIsendChunksArgValidation: impossible chunk geometries must panic at
+// TestSendChunksArgValidation: impossible chunk geometries must panic at
 // the call site (programmer error, not wire data).
-func TestIsendChunksArgValidation(t *testing.T) {
+func TestSendChunksArgValidation(t *testing.T) {
 	if err := job.RunShm(2, func(c *mpi.Comm) {
 		if c.Rank() != 0 {
 			return
@@ -439,10 +472,10 @@ func TestIsendChunksArgValidation(t *testing.T) {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("IsendChunks(%d, %d) did not panic", tc.total, tc.count)
+						t.Errorf("StartSendChunks(%d, %d) did not panic", tc.total, tc.count)
 					}
 				}()
-				c.IsendChunks(1, 0, tc.total, tc.count, chunkSrc(1, 1))
+				isendChunks(c, 1, 0, tc.total, tc.count, chunkSrc(1, 1))
 			}()
 		}
 	}); err != nil {

@@ -542,7 +542,7 @@ func (c *Comm) Lane() uint16 { return c.lane }
 // AcquireSlot leases transport-owned eager storage for an n-byte payload to
 // dst (comm numbering), when the transport offers slots and n is inside the
 // eager protocol regime. The encrypted layer seals ciphertext directly into
-// the slot and sends it with IsendOwned — the zero-copy eager path. ok false
+// the slot and sends it owned (StartSend) — the zero-copy eager path. ok false
 // means "use pooled storage"; it never blocks.
 func (c *Comm) AcquireSlot(dst, n int) (Buffer, bool) {
 	if c.w.slot == nil || n <= 0 || n >= c.w.eager {

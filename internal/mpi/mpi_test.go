@@ -216,12 +216,15 @@ func TestOnCompleteRunsInWait(t *testing.T) {
 		case 0:
 			c.Send(1, 0, mpi.Bytes([]byte("ciphertext")))
 		case 1:
-			req := c.Irecv(0, 0)
 			ran := 0
-			req.SetOnComplete(func(r *mpi.Request) {
+			req := irecvHook(c, 0, 0, &funcHook{complete: func(buf mpi.Buffer, st mpi.Status, err error) (mpi.Buffer, error) {
 				ran++
-				r.SetBuffer(mpi.Bytes([]byte("plaintext")))
-			})
+				if string(buf.Data) != "ciphertext" || st.Source != 0 || err != nil {
+					t.Errorf("hook saw %q from %d, err %v", buf.Data, st.Source, err)
+				}
+				buf.Release()
+				return mpi.Bytes([]byte("plaintext")), nil
+			}})
 			buf, st := c.Wait(req)
 			if string(buf.Data) != "plaintext" {
 				t.Errorf("hook did not substitute buffer: %q", buf.Data)

@@ -12,46 +12,44 @@ func (c *Comm) Isend(dst, tag int, buf Buffer) *Request {
 	return c.isend(dst, tag, c.ctxUser, buf)
 }
 
-// IsendOwned is Isend for a payload the caller guarantees stays immutable
-// and private until the send completes — sealed ciphertext in a pooled or
-// transport-slot buffer. The eager path injects the buffer itself instead of
-// cloning it (the matcher retains it on behalf of the receiver; the caller
-// releases its own reference after completion, exactly as with rendezvous),
-// which is the zero-copy leg of the shm ring path. Rendezvous behaves like
-// Isend. The buffer should carry a pool lease: a leaseless owned buffer
-// would leave the receiver's payload aliasing the caller's storage
-// indefinitely.
-func (c *Comm) IsendOwned(dst, tag int, buf Buffer) *Request {
-	return c.isendMode(dst, tag, c.ctxUser, buf, true)
-}
-
 func (c *Comm) isend(dst, tag, ctx int, buf Buffer) *Request {
-	return c.isendMode(dst, tag, ctx, buf, false)
+	req := getRequest()
+	c.startSend(req, nil, dst, tag, ctx, buf, false)
+	return req
 }
 
-func (c *Comm) isendMode(dst, tag, ctx int, buf Buffer, owned bool) *Request {
+// StartSend is Isend on request storage the caller provides (the layered
+// request req is embedded in), with that request's hook installed before the
+// send is visible to anyone. owned declares buf the caller's private capture,
+// immutable and unshared until the send completes — sealed ciphertext in a
+// pooled or transport-slot buffer: the eager path injects the buffer itself
+// instead of cloning it (transport and matcher retain it while they need it;
+// the caller releases its own reference after completion). A leaseless owned
+// buffer would leave the receiver's payload aliasing the caller's storage.
+func (c *Comm) StartSend(req *Request, h Hook, dst, tag int, buf Buffer, owned bool) {
+	c.startSend(req, h, dst, tag, c.ctxUser, buf, owned)
+}
+
+func (c *Comm) startSend(req *Request, h Hook, dst, tag, ctx int, buf Buffer, owned bool) {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
 	c.metrics.Op(obs.OpIsend)
 	wdst := c.worldOf(dst)
 	wsrc := c.st.rank
-	req := getRequest()
-	*req = Request{kind: reqSend, src: wdst, tag: tag, ctx: ctx, lane: c.lane, owner: c.st, comm: c, owned: owned}
+	*req = Request{kind: reqSend, src: wdst, tag: tag, ctx: ctx, lane: c.lane, owner: c.st, comm: c, owned: owned, hook: h}
 
 	if buf.Len() < c.w.eager {
-		// Eager: inject immediately; the payload is captured (a transport
-		// slot or a pooled clone) so the caller may reuse its buffer, which
-		// is exactly MPI's buffered-eager semantics — unless the caller
-		// declared the buffer owned, in which case it travels as-is. The
-		// protocol retains the capture on delivery if it is kept, so the
-		// creator reference can be dropped once Send returns.
+		// Eager: inject immediately. A borrowed payload is captured first (a
+		// transport slot or a pooled clone) so the caller may reuse its
+		// buffer — MPI's buffered-eager semantics; an owned one travels as it
+		// is. The protocol retains the capture on delivery if it is kept, so
+		// the creator reference is dropped once Send returns.
 		//
 		// The request completes when the transport signals local completion —
 		// synchronously inside Send for the in-process transport, after the
-		// flush for the asynchronous TCP wire engine — so a queued frame that
-		// later dies on a broken connection fails exactly this request
-		// (OnError) instead of vanishing after an optimistic completion.
+		// flush for the TCP wire engine — so a queued frame that later dies
+		// on a broken connection fails exactly this request.
 		st := c.st
 		inj := buf
 		if !owned {
@@ -74,7 +72,7 @@ func (c *Comm) isendMode(dst, tag, ctx int, buf Buffer, owned bool) *Request {
 			}
 			st.mu.Unlock()
 		}
-		return req
+		return
 	}
 
 	// Rendezvous: announce with an RTS and wait for the receiver's CTS; the
@@ -103,7 +101,6 @@ func (c *Comm) isendMode(dst, tag, ctx int, buf Buffer, owned bool) *Request {
 		}
 		st.mu.Unlock()
 	}
-	return req
 }
 
 // eagerCapture copies an eager payload into storage the protocol may keep:
@@ -126,18 +123,7 @@ func (c *Comm) eagerCapture(wsrc, wdst int, buf Buffer) Buffer {
 // rank cleanly (the connection was missing or the write failed).
 func (c *Comm) Send(dst, tag int, buf Buffer) error {
 	req := c.Isend(dst, tag, buf)
-	c.Wait(req)
-	err := req.Err()
-	putRequest(req)
-	return err
-}
-
-// SendOwned is the blocking form of IsendOwned: it returns once the owned
-// buffer's send has completed (the caller may then release its reference).
-func (c *Comm) SendOwned(dst, tag int, buf Buffer) error {
-	req := c.IsendOwned(dst, tag, buf)
-	c.Wait(req)
-	err := req.Err()
+	_, _, err := c.WaitErr(req)
 	putRequest(req)
 	return err
 }
@@ -145,22 +131,23 @@ func (c *Comm) SendOwned(dst, tag int, buf Buffer) error {
 // Irecv posts a non-blocking receive matching (src, tag); src may be
 // AnySource and tag may be AnyTag.
 func (c *Comm) Irecv(src, tag int) *Request {
-	return c.irecvSink(src, tag, c.ctxUser, nil)
-}
-
-// IrecvSink is Irecv with a chunk sink installed atomically with the post:
-// if the matching sender used IsendChunks, the sink consumes each chunk
-// inside Wait as it arrives (SetChunkSink's race-free form — another waiter
-// on this rank cannot observe the receive without its sink).
-func (c *Comm) IrecvSink(src, tag int, sink ChunkSink) *Request {
-	return c.irecvSink(src, tag, c.ctxUser, sink)
+	return c.irecv(src, tag, c.ctxUser)
 }
 
 func (c *Comm) irecv(src, tag, ctx int) *Request {
-	return c.irecvSink(src, tag, ctx, nil)
+	req := getRequest()
+	c.startRecv(req, nil, src, tag, ctx)
+	return req
 }
 
-func (c *Comm) irecvSink(src, tag, ctx int, sink ChunkSink) *Request {
+// StartRecv is Irecv on request storage the caller provides, with the hook
+// installed atomically with the post: no other waiter on this rank can
+// observe the receive without it.
+func (c *Comm) StartRecv(req *Request, h Hook, src, tag int) {
+	c.startRecv(req, h, src, tag, c.ctxUser)
+}
+
+func (c *Comm) startRecv(req *Request, h Hook, src, tag, ctx int) {
 	if src != AnySource && (src < 0 || src >= c.Size()) {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d", src))
 	}
@@ -169,8 +156,7 @@ func (c *Comm) irecvSink(src, tag, ctx int, sink ChunkSink) *Request {
 	if src != AnySource {
 		wsrc = c.worldOf(src)
 	}
-	req := getRequest()
-	*req = Request{kind: reqRecv, src: wsrc, tag: tag, ctx: ctx, lane: c.lane, owner: c.st, comm: c, sink: sink}
+	*req = Request{kind: reqRecv, src: wsrc, tag: tag, ctx: ctx, lane: c.lane, owner: c.st, comm: c, hook: h}
 
 	st := c.st
 	var cts *Msg
@@ -219,23 +205,26 @@ func (c *Comm) irecvSink(src, tag, ctx int, sink ChunkSink) *Request {
 			st.mu.Unlock()
 		}
 	}
-	return req
 }
 
 // Wait blocks until the request completes. For receives it returns the
-// payload and status. If the request carries an onComplete hook (the
-// encrypted layer's deferred decryption), it runs here, in the waiter's
-// context, exactly once — the hook is claimed under the rank lock, so
-// concurrent waiters on one request neither run it twice nor return before
-// its effects are visible.
+// payload and status.
+func (c *Comm) Wait(req *Request) (Buffer, Status) {
+	buf, status, _ := c.WaitErr(req)
+	return buf, status
+}
+
+// WaitErr is Wait that also hands back why the request failed (Request.Err).
+// If the request carries a hook (the encrypted layer's deferred decryption),
+// its Complete runs here, in the waiter's context, exactly once — claimed
+// under the rank lock, so concurrent waiters on one request neither run it
+// twice nor return before its result is stored.
 //
 // Wait is also the rank's chunk progress engine: while the request is
-// pending, any chunked rendezvous work of this rank (sealing the next
-// outbound chunk, opening an arrived one) runs here, on the waiting
-// goroutine, instead of parking — which is what overlaps crypto with the
-// wire (DESIGN.md §12) and keeps a Sendrecv's chunked send flowing while
-// the rank waits on its receive.
-func (c *Comm) Wait(req *Request) (Buffer, Status) {
+// pending, this rank's chunked rendezvous work (sealing the next outbound
+// chunk, opening an arrived one) runs here, on the waiting goroutine, instead
+// of parking — overlapping crypto with the wire (DESIGN.md §12).
+func (c *Comm) WaitErr(req *Request) (Buffer, Status, error) {
 	if req.owner != c.st {
 		panic("mpi: waiting on a request owned by another rank")
 	}
@@ -244,20 +233,22 @@ func (c *Comm) Wait(req *Request) (Buffer, Status) {
 	// Blocked time is measured from the first failed completion check to the
 	// final successful one, via the proc clock — wall time on real
 	// transports, virtual time under the simulator. A request that is already
-	// done costs no clock reads. Time spent progressing chunk work is not
-	// blocked time: the rank is computing, not parked.
+	// done costs no clock reads; progressing chunk work is not blocked time.
 	var blockedFrom int64 = -1
-	var hook func(*Request)
+	var hook Hook
+	var buf Buffer
+	var status Status
+	var err error
 	for {
 		st.mu.Lock()
 		if req.done {
-			if req.onComplete != nil && !req.completed {
+			if req.hook != nil && !req.completed {
 				req.completed = true
-				hook = req.onComplete
+				hook, buf, status, err = req.hook, req.buf, req.status, req.err
 				st.mu.Unlock()
 				break
 			}
-			if req.onComplete == nil || req.hookDone {
+			if req.hook == nil || req.hookDone {
 				st.mu.Unlock()
 				break
 			}
@@ -278,13 +269,16 @@ func (c *Comm) Wait(req *Request) (Buffer, Status) {
 		c.metrics.Wait(int64(c.proc.Now()) - blockedFrom)
 	}
 	if hook != nil {
-		hook(req)
+		buf, err = hook.Complete(buf, status, err)
 		st.mu.Lock()
-		req.hookDone = true
+		req.buf, req.status.Len, req.err, req.hookDone = buf, buf.Len(), err, true
 		st.mu.Unlock()
 	}
+	// One last critical section reads the outcome, error included, so no
+	// caller re-locks for Err. Folding it into those above is a further saving,
+	// held back (ROADMAP item 2; EXPERIMENTS.md "Eager record path").
 	st.mu.Lock()
-	buf, status := req.buf, req.status
+	buf, status, err = req.buf, req.status, req.err
 	st.mu.Unlock()
 	// Wake baton: a single Unpark wakes at most one parked goroutine, so
 	// every waiter leaving Wait passes the wake along in case another waiter
@@ -296,18 +290,16 @@ func (c *Comm) Wait(req *Request) (Buffer, Status) {
 			status.Source = req.comm.commOf(status.Source)
 		}
 	}
-	return buf, status
+	return buf, status, err
 }
 
-// Waitall completes all requests. Like MPI_Waitall it returns only when
-// every request has finished; onComplete hooks run in posting order. The
-// returned error is the first request failure encountered (matching
-// ErrTransport for transport faults); all requests are always drained.
+// Waitall completes all requests, in posting order. Like MPI_Waitall it
+// always drains every request; the returned error is the first failure
+// encountered (matching ErrTransport for transport faults).
 func (c *Comm) Waitall(reqs []*Request) error {
 	var firstErr error
 	for _, r := range reqs {
-		c.Wait(r)
-		if err := r.Err(); err != nil && firstErr == nil {
+		if _, _, err := c.WaitErr(r); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -325,16 +317,10 @@ func (c *Comm) Recv(src, tag int) (Buffer, Status) {
 // Sendrecv performs the classic exchange: a send and a receive that progress
 // concurrently, avoiding the head-to-head deadlock of two blocking sends.
 func (c *Comm) Sendrecv(dst, sendTag int, sendBuf Buffer, src, recvTag int) (Buffer, Status) {
-	rreq := c.Irecv(src, recvTag)
-	sreq := c.Isend(dst, sendTag, sendBuf)
-	buf, status := c.Wait(rreq)
-	c.Wait(sreq)
-	putRequest(rreq)
-	putRequest(sreq)
-	return buf, status
+	return c.sendrecvCtx(dst, sendTag, sendBuf, src, recvTag, c.ctxUser)
 }
 
-// sendrecvCtx is Sendrecv on the collective context.
+// sendrecvCtx is Sendrecv on the given context (the collectives' own).
 func (c *Comm) sendrecvCtx(dst, sendTag int, sendBuf Buffer, src, recvTag, ctx int) (Buffer, Status) {
 	rreq := c.irecv(src, recvTag, ctx)
 	sreq := c.isend(dst, sendTag, ctx, sendBuf)
@@ -345,20 +331,7 @@ func (c *Comm) sendrecvCtx(dst, sendTag int, sendBuf Buffer, src, recvTag, ctx i
 	return buf, status
 }
 
-// SetOnComplete installs a completion hook that Wait will run in the
-// waiter's context. It must be set before Wait observes completion.
-func (r *Request) SetOnComplete(fn func(*Request)) { r.onComplete = fn }
-
-// BufferOf returns the request's payload (valid once Wait returned it, or
-// inside an onComplete hook).
+// BufferOf and StatusOf return the request's payload and receive status,
+// valid once Wait or Waitall has returned the request.
 func (r *Request) BufferOf() Buffer { return r.buf }
-
-// SetBuffer replaces the request's payload; the encrypted layer uses this to
-// substitute the decrypted plaintext inside its Wait hook.
-func (r *Request) SetBuffer(b Buffer) {
-	r.buf = b
-	r.status.Len = b.Len()
-}
-
-// StatusOf returns the request's receive status.
 func (r *Request) StatusOf() Status { return r.status }

@@ -3,11 +3,7 @@ package mpi
 import "sync"
 
 // The protocol's two hot-path bookkeeping structs — the wire Msg and the
-// Request — recycle through sync.Pools. Together with the pooled payload
-// leases this is what takes a sequential rendezvous round trip to ~0
-// allocations: the remaining per-message heap traffic was exactly these
-// structs (4 requests and 12 protocol/decode Msgs per 256 KiB TCP round
-// trip before this sweep).
+// Request — recycle through sync.Pools, like the payload leases.
 //
 // Msg pooling leans on the Transport contract: neither Send nor Deliver may
 // retain the *Msg after returning, so the creator can recycle it as soon as
@@ -17,10 +13,8 @@ import "sync"
 // Request pooling is narrower, because requests are handed to callers as
 // handles: only the blocking wrappers (Send/Recv/Sendrecv and the collective
 // internals), which own their requests end to end, recycle them — and only
-// on clean completion. Failed requests are left to the GC: their failure
-// paths may still hold late completion views (a chunkDone firing after Wait
-// returned). The no-op Injected views (rtsDone, ctsDone) make late successes
-// harmless by construction.
+// on clean completion (Request.Reusable). The no-op Injected views (rtsDone,
+// ctsDone) make late successes harmless by construction.
 
 var msgPool = sync.Pool{New: func() any { return new(Msg) }}
 
@@ -39,11 +33,10 @@ var reqPool = sync.Pool{New: func() any { return new(Request) }}
 func getRequest() *Request { return reqPool.Get().(*Request) }
 
 // putRequest recycles a request after Wait returned it, for callers certain
-// the handle never escaped (the blocking wrappers). Requests that failed,
-// carried chunk state, or ran a completion hook are left to the GC — their
-// completion machinery may outlive Wait on failure paths.
+// the handle never escaped (the blocking wrappers). Requests that are not
+// Reusable fall to the GC; hooked storage was never this pool's.
 func putRequest(r *Request) {
-	if r == nil || r.err != nil || r.chunks != nil || r.onComplete != nil {
+	if r == nil || !r.Reusable() || r.hook != nil {
 		return
 	}
 	*r = Request{}

@@ -22,7 +22,7 @@ type Request struct {
 	seq uint64
 
 	// owned marks a send whose caller transferred buffer ownership
-	// (IsendOwned): the payload may travel zero-copy even over an
+	// (StartSend): the payload may travel zero-copy even over an
 	// inline-delivery transport, because the caller promised not to touch
 	// the storage again. Borrowed sends get a private copy there instead.
 	owned bool
@@ -45,36 +45,42 @@ type Request struct {
 	// translate the status source into comm-rank numbering.
 	comm *Comm
 
-	// onComplete, when non-nil, runs in the waiter's context the first time
-	// Wait observes completion (used by the encrypted layer to decrypt
-	// inside Wait, preserving the non-blocking property — paper §IV).
-	// completed marks the hook as claimed (set under owner.mu, exactly
-	// once); hookDone marks it finished, so concurrent waiters neither run
-	// it twice nor return before its effects (SetBuffer) are visible.
-	onComplete func(*Request)
-	completed  bool
-	hookDone   bool
+	// hook, when non-nil, is the layered request this one is embedded in
+	// (see Hook); set once, before the request is published. completed marks
+	// its Complete as claimed (set under owner.mu, exactly once); hookDone
+	// marks it finished, so concurrent waiters neither run it twice nor
+	// return before its result is stored.
+	hook      Hook
+	completed bool
+	hookDone  bool
 
 	// chunks holds the progress state of a chunked rendezvous exchange
-	// (IsendChunks on the send side, an RTS with Chunks > 0 on the receive
+	// (StartSendChunks on the send side, an RTS with Chunks > 0 on the receive
 	// side); nil for every other request. Guarded by owner.mu.
 	chunks *chunkState
-	// sink, when non-nil on a receive, consumes chunks as they arrive
-	// (SetChunkSink); guarded by owner.mu.
-	sink ChunkSink
 }
 
-// ChunkSink consumes the chunks of a chunked rendezvous receive, in order,
-// inside Wait. k is the chunk index, count the announced chunk count,
-// wireTotal the announced byte total across all chunks, and src/tag the
-// exchange's coordinates as announced by the RTS (src in world numbering) —
-// the encrypted session layer derives each chunk's AAD from them. The sink
-// owns chunk only for the duration of the call. On the final chunk
-// (k == count-1) the sink returns the assembled message buffer — carrying
-// one reference owned by the request — which becomes the receive's payload;
-// earlier calls return the zero Buffer. A sink error fails the receive with
-// that error.
-type ChunkSink func(k, count, wireTotal, src, tag int, chunk Buffer) (Buffer, error)
+// Hook is what a layered request (the encrypted layer's) installs on the
+// protocol request it embeds: an interface, so the layer hands over a pointer
+// it already holds where a closure per operation would allocate.
+type Hook interface {
+	// Complete runs inside Wait, in the waiter's context, exactly once, when
+	// the request has finished (the encrypted layer decrypts here, preserving
+	// the non-blocking property — paper §IV) — unless Chunk already consumed
+	// the payload. buf, st and err are the request's outcome (st.Source in
+	// world numbering); what it returns replaces buf and err on the request.
+	Complete(buf Buffer, st Status, err error) (Buffer, error)
+
+	// Chunk consumes the chunks of a chunked rendezvous receive, in order,
+	// inside Wait. k is the chunk index, count the announced chunk count,
+	// wireTotal the announced byte total, and src/tag the exchange's
+	// coordinates from the RTS (src in world numbering) — the session layer
+	// derives each chunk's AAD from them. chunk is the hook's for the call
+	// only. The final call (k == count-1) returns the assembled message,
+	// carrying one reference owned by the request; earlier calls return the
+	// zero Buffer. An error fails the receive with that error.
+	Chunk(k, count, wireTotal, src, tag int, chunk Buffer) (Buffer, error)
+}
 
 // chunkState tracks one chunked rendezvous exchange on its request. All
 // fields are guarded by the owner rankState's mutex except where noted; the
@@ -95,17 +101,17 @@ type chunkState struct {
 	injected int
 
 	// Recv side: frames are validated and queued by Deliver; the waiter
-	// opens them via sink (or assembles them raw when sink is nil).
+	// opens them via the request's hook (or assembles them raw without one).
 	wireTotal int // announced total wire bytes across all chunks
 	got       int // wire bytes accepted so far
 	arrived   int // frames accepted (also the next expected index)
-	opened    int // frames consumed by the sink
+	opened    int // frames consumed by the hook
 	queue     []Buffer
 	listed    bool // request is on the rank's chunkWork list
 	from, tag int  // status coordinates captured from the RTS
 
-	// Default-sink assembly (no ChunkSink installed): chunks are copied
-	// into one pooled buffer of wireTotal bytes.
+	// Hookless assembly: chunks are copied into one pooled buffer of
+	// wireTotal bytes.
 	asm    Buffer
 	asmOff int
 }
@@ -123,7 +129,7 @@ func (cs *chunkState) releaseQueuedLocked() {
 	}
 	cs.opened = len(cs.queue)
 	if !cs.busy {
-		cs.asm.Release() // no-op unless the default sink had started assembling
+		cs.asm.Release() // no-op unless the hookless assembly had started
 		cs.asm = Buffer{}
 	}
 }
@@ -137,20 +143,24 @@ func (r *Request) Done() bool {
 
 // Err reports why a completed request failed: nil for success, an error
 // matching ErrTransport when the transport could not carry the operation's
-// traffic. Valid once Wait has returned (or inside an onComplete hook).
+// traffic, or what its hook reported. Valid once Wait has returned.
 func (r *Request) Err() error {
 	r.owner.mu.Lock()
 	defer r.owner.mu.Unlock()
 	return r.err
 }
 
+// Reusable reports whether a request Wait has returned left no reference in
+// the protocol (a failed one may be held by late completion views, a chunked
+// one by the work list), so its storage may be started again.
+func (r *Request) Reusable() bool { return r.err == nil && r.chunks == nil }
+
 // The completion views below are what the protocol hands transports as
 // Msg.Done: each is a defined pointer type over Request, so building one is a
 // conversion of a pointer the protocol already holds — no per-message closure
 // allocations on the send hot path. Every method re-derives its state from
 // the request (owner holds the guarding mutex and the rank's proc, seq the
-// rendezvous exchange), which is exactly the state the former closures
-// captured.
+// rendezvous exchange).
 
 // sendDone completes a send request whose payload frame drained (an eager
 // clone or a rendezvous DATA), or fails it if the frame died on the wire.

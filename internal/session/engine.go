@@ -25,6 +25,15 @@ type Engine struct {
 	s *Session
 }
 
+// aadScratch returns the storage a record's AAD is serialized into: what the
+// context lends, else a fresh array — it escapes through the codec interface.
+func aadScratch(ctx *RecordCtx) *[AADLen]byte {
+	if ctx.Scratch != nil {
+		return ctx.Scratch
+	}
+	return new([AADLen]byte)
+}
+
 // Engine returns the session's crypto engine.
 func (s *Session) Engine() *Engine { return &Engine{s: s} }
 
@@ -69,7 +78,7 @@ func (e *Engine) SealTo(_ sched.Proc, dst []byte, plain mpi.Buffer, ctx RecordCt
 	s := e.s
 	ep, src := s.sealState()
 	if ctx.Op == OpRaw {
-		ctx = RecordCtx{Op: OpRaw, Src: src, Dst: Wildcard}
+		ctx = RecordCtx{Op: OpRaw, Src: src, Dst: Wildcard, Scratch: ctx.Scratch}
 	}
 	data := plain.Data
 	var scratch, lease *bufpool.Lease
@@ -84,13 +93,13 @@ func (e *Engine) SealTo(_ sched.Proc, dst []byte, plain mpi.Buffer, ctx RecordCt
 		out = lease.Bytes()
 	}
 	seq := ep.seq.Add(1)
-	var ab [aadLen]byte
-	aadB := appendAAD(ab[:0], s.id, ep.n, seq, &ctx)
+	ab := aadScratch(&ctx)
+	ep.putAAD(ab, seq, &ctx)
 	nb := out[:aead.NonceSize]
 	putNonce(nb, ctx.Src, ep.n, seq)
 	// SealAAD appends ciphertext ‖ tag in place: out's capacity covers the
 	// full wire length, so no reallocation happens for tag-exact codecs.
-	wire := ep.codec.SealAAD(nb, nb, data, aadB)
+	wire := ep.codec.SealAAD(nb, nb, data, ab[:])
 	scratch.Release()
 	if dst != nil && (len(wire) > len(dst) || &wire[0] != &dst[0]) {
 		return mpi.Buffer{}, false
@@ -122,7 +131,7 @@ func (e *Engine) OpenTo(_ sched.Proc, dst []byte, wire mpi.Buffer, ctx RecordCtx
 	}
 	src, epn, seq := parseNonce(wire.Data)
 	if ctx.Op == OpRaw {
-		ctx = RecordCtx{Op: OpRaw, Src: src, Dst: Wildcard}
+		ctx = RecordCtx{Op: OpRaw, Src: src, Dst: Wildcard, Scratch: ctx.Scratch}
 	} else if ctx.Src != src {
 		// Reflected or re-addressed records announce themselves here: the
 		// nonce says who sealed, the receiver knows who it matched from.
@@ -133,15 +142,15 @@ func (e *Engine) OpenTo(_ sched.Proc, dst []byte, wire mpi.Buffer, ctx RecordCtx
 	if err != nil {
 		return mpi.Buffer{}, e.reject(err)
 	}
-	var ab [aadLen]byte
-	aadB := appendAAD(ab[:0], s.id, ep.n, seq, &ctx)
 	out := dst
 	var lease *bufpool.Lease
 	if dst == nil {
 		lease = bufpool.Get(n)
 		out = lease.Bytes()
 	}
-	plain, err := ep.codec.OpenAAD(out[:0], wire.Data[:aead.NonceSize], wire.Data[aead.NonceSize:], aadB)
+	ab := aadScratch(&ctx)
+	ep.putAAD(ab, seq, &ctx)
+	plain, err := ep.codec.OpenAAD(out[:0], wire.Data[:aead.NonceSize], wire.Data[aead.NonceSize:], ab[:])
 	if err == nil && !ep.admit(src, seq) {
 		err = ErrReplay
 	}
@@ -177,20 +186,19 @@ func (e *Engine) reject(err error) error {
 	return err
 }
 
-// sealState returns the epoch and source rank a new record seals under,
-// both read under the session lock (Attach may race an early seal in
-// misuse; the lock keeps the race detector quiet and the answer coherent).
+// sealState returns the epoch and nonce source a new record seals under: two
+// atomic loads, plus a monotonic compare when a rekey interval is set.
 func (s *Session) sealState() (*epoch, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.rekeyEvery > 0 && s.cur.n < MaxEpoch && time.Since(s.cur.started) >= s.rekeyEvery {
-		// Best-effort: a codec failure falls back to the current epoch
-		// rather than dropping traffic.
-		_ = s.rekeyLocked()
+	ep := s.cur.Load()
+	if s.rekeyEvery > 0 && time.Since(ep.started) >= s.rekeyEvery {
+		// Interval roll, best effort: after a concurrent roll, at the epoch
+		// limit or on a codec failure traffic stays on the current epoch.
+		s.mu.Lock()
+		if s.cur.Load() == ep && ep.n < MaxEpoch {
+			_ = s.rekeyLocked()
+		}
+		ep = s.cur.Load()
+		s.mu.Unlock()
 	}
-	src := s.rank
-	if src < 0 {
-		src = 0
-	}
-	return s.cur, src
+	return ep, int(s.src.Load())
 }

@@ -53,19 +53,24 @@ type RecordCtx struct {
 	Tag    int
 	Chunk  int
 	Chunks int
+	// Scratch, when non-nil, is caller-owned storage for the serialized AAD
+	// during the call (the communicator lends its request's); not bound.
+	Scratch *[AADLen]byte
 }
 
-// aadLen is the fixed AAD size:
+// AADLen is the fixed AAD size (and of the scratch a RecordCtx may lend):
 // id(8) ‖ epoch(4) ‖ src(4) ‖ dst(4) ‖ op(1) ‖ tag(8) ‖ seq(8) ‖ chunk(4) ‖ chunks(4).
-const aadLen = 8 + 4 + 4 + 4 + 1 + 8 + 8 + 4 + 4
+// The first aadPrefixLen bytes are the same for every record of an epoch.
+const (
+	aadPrefixLen = 8 + 4
+	AADLen       = aadPrefixLen + 4 + 4 + 1 + 8 + 8 + 4 + 4
+)
 
-// appendAAD serializes the record binding. Signed fields (src, dst, tag) are
-// written as their two's-complement fixed-width forms so Wildcard (-1) has a
-// stable encoding.
-func appendAAD(dst []byte, id uint64, epoch uint32, seq uint64, ctx *RecordCtx) []byte {
-	var b [aadLen]byte
-	binary.BigEndian.PutUint64(b[0:], id)
-	binary.BigEndian.PutUint32(b[8:], epoch)
+// putAAD serializes the record binding into b: the epoch's precomputed prefix,
+// then the per-record fields. Signed fields (src, dst, tag) are written as
+// two's-complement fixed-width forms so Wildcard (-1) has a stable encoding.
+func (ep *epoch) putAAD(b *[AADLen]byte, seq uint64, ctx *RecordCtx) {
+	copy(b[:], ep.aad[:])
 	binary.BigEndian.PutUint32(b[12:], uint32(int32(ctx.Src)))
 	binary.BigEndian.PutUint32(b[16:], uint32(int32(ctx.Dst)))
 	b[20] = byte(ctx.Op)
@@ -73,7 +78,6 @@ func appendAAD(dst []byte, id uint64, epoch uint32, seq uint64, ctx *RecordCtx) 
 	binary.BigEndian.PutUint64(b[29:], seq)
 	binary.BigEndian.PutUint32(b[37:], uint32(int32(ctx.Chunk)))
 	binary.BigEndian.PutUint32(b[41:], uint32(int32(ctx.Chunks)))
-	return append(dst, b[:]...)
 }
 
 // Nonce layout: src(2) ‖ epoch(2) ‖ seq(8), all big-endian. One AES-GCM key

@@ -1,8 +1,7 @@
 // Package session gives every encrypted communicator a keyed session with an
 // epoch counter. Each record's AAD binds (session id, epoch, src, dst,
 // tag/op, seq, chunk position), so replayed, cross-session-spliced, or
-// reflected ciphertexts fail AEAD authentication instead of relying on the
-// heuristic sequence window in encmpi/replay.go. Epochs support
+// reflected ciphertexts fail AEAD authentication. Epochs support
 // zero-downtime rekeying: Rekey opens epoch e+1 for new seals while
 // in-flight epoch-e traffic (including chunked rendezvous streams
 // mid-message) keeps opening during a bounded grace window.
@@ -84,21 +83,31 @@ type Session struct {
 	// reuses pre-derived key material instead of re-deriving per operation.
 	derivations atomic.Uint64
 
+	// cur is the current seal epoch and src the nonce source field (this
+	// endpoint's rank; 0 until Attach). The record path reads each with one
+	// atomic load and never takes mu (DESIGN.md §13): a published epoch is
+	// immutable but for its atomic seal counter and its own mutex, so a reader
+	// racing a Rekey holds what the lock would have given it a moment earlier.
+	cur atomic.Pointer[epoch]
+	src atomic.Int32
+
+	// mu serializes cur's writers (Rekey, interval roll) and Attach, and guards
+	// old and ahead, which only non-current-epoch records consult.
 	mu       sync.Mutex
-	cur      *epoch
 	old      map[uint32]*epoch // retired epochs still inside grace
 	ahead    map[uint32]*epoch // epochs opened for peers that rekeyed first
 	attached bool
-	rank     int
-	size     int
 }
 
 // epoch is one key generation. seq is the rank's seal counter (this rank's
 // contribution to the nonce space); windows holds per-source replay state on
 // the open side.
 type epoch struct {
-	n       uint32
-	codec   aead.AADCodec
+	n     uint32
+	codec aead.AADCodec
+	// aad is the id ‖ epoch prefix of every record's AAD, serialized once.
+	aad [aadPrefixLen]byte
+	// started is when the epoch became current, written before cur publishes it.
 	started time.Time
 	seq     atomic.Uint64
 
@@ -126,7 +135,6 @@ func New(cfg Config) (*Session, error) {
 		rekeyEvery: cfg.RekeyEvery,
 		old:        make(map[uint32]*epoch),
 		ahead:      make(map[uint32]*epoch),
-		rank:       -1,
 	}
 	if s.id == 0 {
 		s.id = deriveID(cfg.Key)
@@ -141,7 +149,7 @@ func New(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cur = ep
+	s.cur.Store(ep)
 	s.name = ep.codec.Name()
 	return s, nil
 }
@@ -198,12 +206,15 @@ func (s *Session) newEpoch(n uint32) (*epoch, error) {
 	if ac == nil {
 		return nil, fmt.Errorf("session: codec %s cannot authenticate additional data; sessions require an AEAD with AAD support (the CCM tiers do not qualify)", c.Name())
 	}
-	return &epoch{
+	ep := &epoch{
 		n:       n,
 		codec:   ac,
 		started: time.Now(),
 		windows: make(map[int]*replayWindow),
-	}, nil
+	}
+	binary.BigEndian.PutUint64(ep.aad[0:], s.id)
+	binary.BigEndian.PutUint32(ep.aad[8:], n)
+	return ep, nil
 }
 
 // ID returns the session id authenticated into every record.
@@ -222,11 +233,7 @@ func (s *Session) Name() string { return s.name }
 func (s *Session) Derivations() uint64 { return s.derivations.Load() }
 
 // Epoch returns the current seal epoch.
-func (s *Session) Epoch() uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur.n
-}
+func (s *Session) Epoch() uint32 { return s.cur.Load().n }
 
 // Attach binds the session to one communicator endpoint (rank of size). A
 // session is a single security association: attaching twice is a misuse
@@ -241,10 +248,9 @@ func (s *Session) Attach(rank, size int, scope *obs.SessionScope) error {
 		return errors.New("session: already attached to a communicator; create one Session per endpoint")
 	}
 	s.attached = true
-	s.rank = rank
-	s.size = size
+	s.src.Store(int32(rank))
 	s.scope = scope
-	s.scope.SetEpoch(s.cur.n)
+	s.scope.SetEpoch(s.cur.Load().n)
 	return nil
 }
 
@@ -262,7 +268,8 @@ func (s *Session) Rekey() error {
 // its replay windows must carry over, or a record admitted while the epoch
 // was "ahead" could be replayed into the promoted copy.
 func (s *Session) rekeyLocked() error {
-	next := s.cur.n + 1
+	retired := s.cur.Load()
+	next := retired.n + 1
 	if next > MaxEpoch {
 		return fmt.Errorf("session: epoch counter exhausted at %d; start a new session", MaxEpoch)
 	}
@@ -277,12 +284,11 @@ func (s *Session) rekeyLocked() error {
 			return err
 		}
 	}
-	retired := s.cur
 	retired.mu.Lock()
 	retired.retiredAt = time.Now()
 	retired.mu.Unlock()
 	s.old[retired.n] = retired
-	s.cur = ep
+	s.cur.Store(ep)
 	s.pruneLocked()
 	s.scope.Rekey(next)
 	return nil
@@ -302,13 +308,16 @@ func (s *Session) pruneLocked() {
 }
 
 // epochForOpen resolves the epoch a received record claims. Current opens
-// directly; older epochs must still be inside grace; newer epochs (peer
-// rekeyed first) are derived on demand into the ahead set WITHOUT advancing
-// cur — an unauthenticated nonce header must never drive local key state.
+// directly, lock-free; older epochs must still be inside grace; newer epochs
+// (peer rekeyed first) are derived on demand into the ahead set WITHOUT
+// advancing cur — an unauthenticated nonce header must never drive key state.
 func (s *Session) epochForOpen(n uint32) (*epoch, error) {
+	if cur := s.cur.Load(); n == cur.n {
+		return cur, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.cur
+	cur := s.cur.Load()
 	switch {
 	case n == cur.n:
 		return cur, nil

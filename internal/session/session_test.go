@@ -3,6 +3,9 @@ package session
 import (
 	"bytes"
 	"errors"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -384,4 +387,77 @@ func FuzzSessionAAD(f *testing.F) {
 			t.Fatalf("replay: got %v, want ErrReplay", err)
 		}
 	})
+}
+
+// TestSealRacesRekey covers what the session mutex used to give the record
+// path and the atomic current-epoch pointer must still give: with two
+// goroutines sealing while a third rolls the epoch in a loop, no
+// (epoch, src, seq) nonce is ever issued twice, and every record — whichever
+// epoch its sealer caught — opens, the retired ones inside the grace window.
+// Run with -race.
+func TestSealRacesRekey(t *testing.T) {
+	const sealers, perSealer, rekeys = 2, 1000, 300
+	s := newTestSession(t, Config{Key: testKey(9), Grace: time.Minute})
+	if err := s.Attach(3, 8, nil); err != nil {
+		t.Fatal(err)
+	}
+	e := s.Engine()
+	ctx := RecordCtx{Op: OpP2P, Src: 3, Dst: 1, Tag: 5}
+	msg := mpi.Bytes([]byte("sealed while the epoch rolls"))
+
+	// The sealers seal from before the first roll until after the last one
+	// (each seals once more after seeing it), so the records span epochs
+	// however the goroutines are scheduled.
+	first := make(chan struct{})
+	var firstOnce sync.Once
+	var rolled atomic.Bool
+	var sealing sync.WaitGroup
+	sealed := make([][]mpi.Buffer, sealers)
+	for g := range sealed {
+		sealing.Add(1)
+		go func() {
+			defer sealing.Done()
+			for i, last := 0, false; !last; i++ {
+				last = i >= perSealer && rolled.Load()
+				w, _ := e.SealTo(nil, nil, msg, ctx)
+				sealed[g] = append(sealed[g], w)
+				firstOnce.Do(func() { close(first) })
+			}
+		}()
+	}
+	<-first
+	for n := 0; n < rekeys; n++ {
+		if err := s.Rekey(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rolled.Store(true)
+	sealing.Wait()
+
+	// Open in (epoch, seq) order: the replay window tolerates 64 records of
+	// reordering per source, and two free-running sealers exceed that.
+	var wires []mpi.Buffer
+	for _, ws := range sealed {
+		wires = append(wires, ws...)
+	}
+	sort.Slice(wires, func(i, j int) bool {
+		return bytes.Compare(wires[i].Data[2:aead.NonceSize], wires[j].Data[2:aead.NonceSize]) < 0
+	})
+	epochs := make(map[uint32]bool)
+	for i, w := range wires {
+		if i > 0 && bytes.Equal(w.Data[:aead.NonceSize], wires[i-1].Data[:aead.NonceSize]) {
+			t.Fatalf("nonce %x issued twice", w.Data[:aead.NonceSize])
+		}
+		_, epoch, _ := parseNonce(w.Data)
+		epochs[epoch] = true
+		plain, err := e.OpenTo(nil, nil, w, ctx)
+		if err != nil {
+			t.Fatalf("record of epoch %d did not open (current epoch %d): %v", epoch, s.Epoch(), err)
+		}
+		plain.Release()
+		w.Release()
+	}
+	if len(epochs) < 2 {
+		t.Errorf("%d records under %d epochs: the race was not exercised", len(wires), len(epochs))
+	}
 }

@@ -347,7 +347,7 @@ func (t *Transport) materialize(buf mpi.Buffer) mpi.Buffer {
 //
 // On the default (batched) path, a nil return means the wire engine accepted
 // the message, not that it reached the kernel: the frame header is encoded
-// into a pooled slab, the payload is retained without copying, and the
+// into the pooled frame, the payload is retained without copying, and the
 // message is queued for the connection's writer. Exactly one of Done.Injected
 // and Done.Failed fires when the flush that carries it resolves.
 func (t *Transport) Send(_ sched.Proc, m *mpi.Msg) error {

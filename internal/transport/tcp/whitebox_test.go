@@ -243,7 +243,8 @@ func BenchmarkTCPRoundtripAllocUnpooled(b *testing.B) { benchRoundtrip(b, true) 
 // TestRoundtripAllocRegression pins the sequential 256 KiB rendezvous round
 // trip at zero steady-state allocations per operation: requests and protocol
 // messages (RTS/CTS/DATA and their decoded forms) recycle through the mpi
-// pools, payloads and header slabs through bufpool, and the readLoop reuses
+// pools, payloads through bufpool, frame nodes (header included) through the
+// frame pool, and the readLoop reuses
 // one Msg per connection. The seed shipped at 16 allocs/op (4 requests + 6
 // protocol Msgs + 6 decode Msgs); a small tolerance absorbs sporadic
 // sync.Pool refills under GC pressure.

@@ -26,13 +26,9 @@ const zeroSlabLen = 64 << 10
 // written by no one; every flush may slice it concurrently.
 var zeroSlab [zeroSlabLen]byte
 
-// headerPool recycles frame-header slabs. Headers are 56 bytes — below the
-// smallest bufpool class — so they get their own pool rather than burning
-// 512-byte leases on them.
-var headerPool = sync.Pool{New: func() any { return new([headerLen]byte) }}
-
-// framePool recycles the per-message queue nodes so a steady-state send loop
-// allocates nothing on the enqueue path.
+// framePool recycles the per-message queue nodes — header slab included — so
+// a steady-state send loop allocates nothing on the enqueue path and a queued
+// frame costs one pool round trip.
 var framePool = sync.Pool{New: func() any { return new(wireFrame) }}
 
 // wireFrame is one queued message: its encoded header, a reference to the
@@ -40,7 +36,7 @@ var framePool = sync.Pool{New: func() any { return new(wireFrame) }}
 // callbacks the flush must fire. size is the full on-wire footprint
 // (header + payload), payloadLen the payload alone (what MsgSent records).
 type wireFrame struct {
-	hdr        *[headerLen]byte
+	hdr        [headerLen]byte
 	buf        mpi.Buffer // retained payload; zero value for synthetic/empty
 	synthetic  bool       // payload is zeros vectored from zeroSlab
 	src, dst   int
@@ -53,7 +49,6 @@ type wireFrame struct {
 // release returns the frame's pooled pieces. The completion must already
 // have fired (or been deliberately dropped at Close).
 func (f *wireFrame) release() {
-	headerPool.Put(f.hdr)
 	f.buf.Release()
 	*f = wireFrame{}
 	framePool.Put(f)
@@ -139,8 +134,7 @@ func (q *wireQueue) enqueue(m *mpi.Msg) error {
 	n := m.Buf.Len()
 	size := headerLen + n
 	f := framePool.Get().(*wireFrame)
-	f.hdr = headerPool.Get().(*[headerLen]byte)
-	encodeHeader(f.hdr, m, n)
+	encodeHeader(&f.hdr, m, n)
 	f.src, f.dst = m.Src, m.Dst
 	f.lane = m.Lane
 	f.size = size

@@ -40,18 +40,27 @@ echo "$out" | grep -q "byte accounting OK" || {
 echo "== alloc-regression smoke (pooled hot paths stay under their absolute ceilings)"
 # The AllocsPerRun tests pin the hot paths at fixed ceilings: pooled Seal/Open
 # at 0 allocs/op, the parallel engine's dispatch, the chunked 1 MiB exchange,
-# the 1 KiB session ping-pong over the shm rings (record contexts travel by
-# value — no per-record allocation), and the 256 KiB TCP rendezvous round
-# trip at ~0 allocs/op; the single-shot benchmarks prove the harness runs.
-go test ./internal/encmpi ./internal/transport/tcp -run 'AllocRegression|PingPongAllocs' -count=1
+# the 1 KiB session ping-pong over the shm rings at 0 (blocking calls recycle
+# their one request object; record context and AAD cost nothing), the 64 x
+# 4 KiB session window over tcp at one request per message per side, and the
+# 256 KiB TCP rendezvous round trip at ~0 allocs/op; the single-shot
+# benchmarks prove the harness runs.
+go test ./internal/encmpi ./internal/transport/tcp -run 'AllocRegression|PingPongAllocs|WindowAllocs' -count=1
 go test ./internal/encmpi ./internal/transport/tcp -run '^$' -bench 'Alloc' -benchtime 1x
 
-echo "== one engine contract (no capability discovery by type assertion)"
+echo "== one engine contract, one request hook (no type-assertion discovery, no func-typed hooks)"
 # The encrypted layer makes the same two calls on every engine (DESIGN.md
 # §7.1). The only engine type assertion allowed in non-test code is Wrap's
 # *HearEngine parameter unwrap.
 if grep -nE '(eng|Engine\(\))\.\(' internal/encmpi/*.go | grep -v '_test\.go:' | grep -v '\.(\*HearEngine)'; then
 	echo "engine type assertion found in internal/encmpi (see above)"
+	exit 1
+fi
+# A layered request reaches the protocol through the mpi.Hook interface it
+# implements itself (DESIGN.md §7.1, §12): no completion hook or chunk sink may
+# come back as a func-typed field, setter or per-operation closure.
+if grep -nE 'SetOnComplete|onComplete|ChunkSink|IrecvSink|(hook|sink) +func\(' internal/encmpi/*.go internal/mpi/*.go | grep -v '_test\.go:'; then
+	echo "func-typed completion hook or chunk sink found on the record path (see above)"
 	exit 1
 fi
 
